@@ -61,7 +61,9 @@ class ManifestError(ValueError):
 
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # allow_nan=False: a NaN or infinity raises ValueError (an input error)
+    # instead of printing tokens that strict JSON parsers reject
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _tool_doc() -> dict:

@@ -33,7 +33,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .jets import Jet2, JetDomainError
+from .jets import Jet2, JetDomainError, as_jet2
 
 __all__ = [
     "ExprAst",
@@ -604,7 +604,4 @@ def eval_jet2(expr: ExprAst, point) -> Jet2:
     pt = np.asarray(point, dtype=float)
     m = pt.shape[-1]
     env = [Jet2.variable(pt[..., i], i, m) for i in range(m)]
-    out = evaluate(expr, env)
-    if not isinstance(out, Jet2):
-        out = Jet2.constant(np.broadcast_to(np.asarray(out, float), pt.shape[:-1]), m)
-    return out
+    return as_jet2(evaluate(expr, env), pt.shape[:-1], m)

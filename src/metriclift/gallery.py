@@ -30,7 +30,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import EvalDomainError
-from .jets import Jet2
+from .jets import Jet2, as_jet2
 from .metric import ChartedMetric, mirror_components
 
 __all__ = [
@@ -170,9 +170,7 @@ def godel_condition(spec: GodelSpec, spec_hat: GodelSpec, x2) -> float:
     env = [Jet2.variable(t, 0, 1)]
 
     def jval(source):
-        out = ex.evaluate(ex.parse_expression(source, ["x2"]), env)
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(np.broadcast_to(np.asarray(out, float), t.shape), 1)
+        out = as_jet2(ex.evaluate(ex.parse_expression(source, ["x2"]), env), t.shape, 1)
         return out.value, out.grad[..., 0]
 
     Hv, Hd = jval(spec.H)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
-from .jets import Jet2
+from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
@@ -35,6 +35,7 @@ __all__ = [
     "CoordinateMap",
     "HarmonicityReport",
     "SamplingExhausted",
+    "NonFiniteResidual",
     "tension_identity_at",
     "tension_map_at",
     "check_harmonic",
@@ -48,6 +49,11 @@ VERDICT_NOT = "not-harmonic"
 
 class SamplingExhausted(RuntimeError):
     """Could not collect enough nondegenerate sample points."""
+
+
+class NonFiniteResidual(ValueError):
+    """A residual came out NaN or infinite at a sample point (components
+    overflowed there), so no verdict can be given."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,7 @@ def tension_map_at(
     dphi = np.empty(base + (n, m))
     d2phi = np.empty(base + (n, m, m))
     for c in range(n):
-        out = ex.evaluate(phi.components[c], env, memo)
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(np.broadcast_to(np.asarray(out, float), base), m)
+        out = as_jet2(ex.evaluate(phi.components[c], env, memo), base, m)
         y[..., c] = out.value
         dphi[..., c, :] = out.grad
         d2phi[..., c, :, :] = out.hess
@@ -207,31 +211,67 @@ def shared_domain(g: ChartedMetric, ghat: ChartedMetric):
     return tuple(out)
 
 
-def _collect_samples(g: ChartedMetric, ghat: ChartedMetric, samples: int, seed: int):
-    """First ``samples`` lattice points where both metrics are
-    nondegenerate, scanning at most 10x candidates."""
-    domain = shared_domain(g, ghat)
+def _collect_samples(
+    g: ChartedMetric, ghat: ChartedMetric, domain, samples: int, seed: int
+) -> np.ndarray:
+    """First ``samples`` lattice points of the box ``domain`` whose leading
+    ``g.dim`` coordinates make both metrics nondegenerate, scanning at
+    most 10x candidates.  ``domain`` is the shared box, or for a lift the
+    shared box times the fiber box."""
+    m = g.dim
     kept = []
-    start = 0
-    scanned = 0
+    count = start = 0
     limit = 10 * samples
-    while len(kept) < samples and scanned < limit:
-        chunk = min(samples, limit - scanned)
-        cand = lattice_points(domain, chunk, seed, start=start)
-        start += chunk
-        scanned += chunk
-        det_a = np.linalg.det(metric_at(g, cand))
-        det_b = np.linalg.det(metric_at(ghat, cand))
-        ok = (np.abs(det_a) > DEGENERACY_EPS) & (np.abs(det_b) > DEGENERACY_EPS)
-        for row, good in zip(cand, ok):
-            if good and len(kept) < samples:
-                kept.append(row)
-    if len(kept) < samples:
-        raise SamplingExhausted(
-            f"only {len(kept)} of {samples} sample points were nondegenerate "
-            f"after scanning {scanned} candidates"
+    while count < samples and start < limit:
+        cand = lattice_points(domain, min(samples, limit - start), seed, start=start)
+        start += cand.shape[0]
+        base = cand[:, :m]
+        ok = (np.abs(np.linalg.det(metric_at(g, base))) > DEGENERACY_EPS) & (
+            np.abs(np.linalg.det(metric_at(ghat, base))) > DEGENERACY_EPS
         )
-    return np.asarray(kept)
+        kept.append(cand[ok][: samples - count])
+        count += kept[-1].shape[0]
+    if count < samples:
+        raise SamplingExhausted(
+            f"only {count} of {samples} sample points were nondegenerate "
+            f"after scanning {start} candidates"
+        )
+    return np.concatenate(kept)
+
+
+def _sampled_report(
+    g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
+) -> HarmonicityReport:
+    """Shared core of the sampled checks: ``residual`` maps the kept
+    points ``(N, d)`` to residuals ``(N, c)``; the report gives the worst
+    absolute residual (first sample on ties) and the per-component maxima."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
+    _require_same_chart(g, ghat)
+    pts = _collect_samples(g, ghat, domain, samples, seed)
+    abs_r = np.abs(residual(pts))
+    bad = np.argwhere(~np.isfinite(abs_r))
+    if bad.size:
+        i, c = bad[0]
+        pt = ", ".join(repr(float(v)) for v in pts[i])
+        raise NonFiniteResidual(
+            f"residual component {c + 1} is not finite at sample point ({pt})"
+        )
+    per_sample = abs_r.max(axis=1)
+    worst = int(np.argmax(per_sample))
+    max_abs = float(per_sample[worst])
+    verdict = VERDICT_HARMONIC if max_abs <= tol else VERDICT_NOT
+    return HarmonicityReport(
+        verdict=verdict,
+        max_abs_residual=max_abs,
+        worst_point=tuple(float(v) for v in pts[worst]),
+        per_component_max=tuple(float(v) for v in abs_r.max(axis=0)),
+        samples_used=int(pts.shape[0]),
+        tolerance=float(tol),
+        seed=int(seed),
+    )
 
 
 def check_harmonic(
@@ -243,25 +283,12 @@ def check_harmonic(
 ) -> HarmonicityReport:
     """Evaluate the identity-map tension on a deterministic lattice of the
     shared box and report the worst absolute residual."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    _require_same_chart(g, ghat)
-    pts = _collect_samples(g, ghat, samples, seed)
-    tau = tension_identity_at(g, ghat, pts)  # (samples, m)
-    abs_tau = np.abs(tau)
-    per_component = abs_tau.max(axis=0)
-    per_sample = abs_tau.max(axis=1)
-    worst = int(np.argmax(per_sample))  # first index on ties
-    max_abs = float(per_sample[worst])
-    verdict = VERDICT_HARMONIC if max_abs <= tol else VERDICT_NOT
-    return HarmonicityReport(
-        verdict=verdict,
-        max_abs_residual=max_abs,
-        worst_point=tuple(float(v) for v in pts[worst]),
-        per_component_max=tuple(float(v) for v in per_component),
-        samples_used=int(pts.shape[0]),
-        tolerance=float(tol),
-        seed=int(seed),
+    return _sampled_report(
+        g,
+        ghat,
+        shared_domain(g, ghat),
+        lambda pts: tension_identity_at(g, ghat, pts),
+        samples,
+        tol,
+        seed,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet2", "JetDomainError", "seed_point", "seed_points"]
+__all__ = ["Jet2", "JetDomainError", "as_jet2"]
 
 
 class JetDomainError(ValueError):
@@ -214,14 +214,10 @@ class Jet2:
         return f"Jet2(value={self.value!r}, grad={self.grad!r})"
 
 
-def seed_point(point, order: int = 2) -> list[Jet2]:
-    """Jet variables for one point ``(m,)``."""
-    pt = np.asarray(point, dtype=float)
-    m = pt.shape[-1]
-    return [Jet2.variable(pt[..., i], i, m, order) for i in range(m)]
-
-
-def seed_points(points, order: int = 2) -> list[Jet2]:
-    """Jet variables for a batch of points ``(..., m)``; values keep the
-    leading batch shape."""
-    return seed_point(points, order)
+def as_jet2(out, shape, nvars: int, order: int = 2) -> Jet2:
+    """An expression evaluation result as a ``Jet2``: a tree with no
+    variable in it evaluates to a plain number, which becomes a constant
+    jet broadcast to the batch ``shape``."""
+    if isinstance(out, Jet2):
+        return out
+    return Jet2.constant(np.broadcast_to(np.asarray(out, float), shape), nvars, order)

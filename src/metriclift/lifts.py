@@ -9,7 +9,11 @@ supported, each in two presentations:
   closed form.  For the Sasaki lift on TM, the horizontal lift on TM and
   the Sasaki lift on T*M that frame is the adapted frame
   ``{delta_i, d/dfiber^i}`` built from the base connection; for the
-  complete lift it is the induced coordinate frame itself.
+  complete lift it is the induced coordinate frame itself.  The blocks
+  are evaluated batched over bundle points, from one second-jet pass of
+  the base metric per batch; ``lift_blocks_at`` and ``lifted_tension_at``
+  are its single-point views, and ``check_lift_conditions`` runs it on
+  fixed-size slices of the sampled points.
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
   component trees, their derivatives and the cofactor inverse, with no
@@ -45,9 +49,11 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
+from .harmonic import _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
-    _checked_inverse,
+    _connection_from_jets,
+    _riemann,
     christoffel_and_derivative_at,
     metric_jets_at,
     mirror_components,
@@ -70,6 +76,10 @@ __all__ = [
 ]
 
 MAX_LIFT_TREE_SIZE = 2_000_000
+# Bundle points per batched block evaluation in ``check_lift_conditions``:
+# the (N, m, 2m, 2m) block arrays of one unbounded 64-point batch raised
+# peak memory by a fifth; small slices keep it at the per-point level.
+LIFT_SLICE_POINTS = 8
 
 
 class LiftKind(enum.Enum):
@@ -128,97 +138,92 @@ class LiftBlocks:
         return self.gamma_base.shape[0]
 
 
-def _block(mm: np.ndarray, ul, ur, ll, lr) -> np.ndarray:
-    m = mm
-    out = np.zeros((2 * m, 2 * m))
-    if ul is not None:
-        out[:m, :m] = ul
-    if ur is not None:
-        out[:m, m:] = ur
-    if ll is not None:
-        out[m:, :m] = ll
-    if lr is not None:
-        out[m:, m:] = lr
-    return out
+def _bundle_box(base_box, m: int, fiber_interval):
+    """Sampling box of the bundle chart: base box times ``m`` fiber intervals."""
+    lo, hi = fiber_interval
+    return tuple(base_box) + tuple((float(lo), float(hi)) for _ in range(m))
 
 
-def _base_fields(g: ChartedMetric, x, order: int = 2):
-    G, dG, d2G = metric_jets_at(g, x, order=order)
-    ginv = _checked_inverse(G, x)
-    return G, dG, d2G, ginv
+def _lift_blocks(g: ChartedMetric, kind: LiftKind, x, w):
+    """Batched lift blocks at bundle points ``(x, w)`` of shape ``(..., m)``:
+    ``(metric, inverse, gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)``
+    and ``(..., m, 2m, 2m)``, from one second-jet pass of ``g``."""
+    m = g.dim
+    if x.shape[-1] != m:
+        raise ValueError("fiber point dimension does not match the chart")
+    G, dG, d2G = metric_jets_at(g, x, order=2)
+    gamma, dgamma, ginv = _connection_from_jets(G, dG, d2G, x)
+    batch = G.shape[:-2]
+    metric = np.zeros(batch + (2 * m, 2 * m))
+    inverse = np.zeros_like(metric)
+    gb = np.zeros(batch + (m, 2 * m, 2 * m))
+    gf = np.zeros_like(gb)
+    gb[..., :m, :m] = gamma
 
-
-def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    P = np.einsum("kjhi->kijh", dgamma)
-    Q = np.einsum("kil,ljh->kijh", gamma, gamma)
-    return (P - np.swapaxes(P, 1, 2)) + (Q - np.swapaxes(Q, 1, 2))
+    if kind is LiftKind.SASAKI_TM:
+        riem = _riemann(gamma, dgamma)
+        metric[..., :m, :m] = metric[..., m:, m:] = G
+        inverse[..., :m, :m] = inverse[..., m:, m:] = ginv
+        # (1,2) entry (i,j): (1/2) R^k_{hji} u^h ; (2,1) its transpose
+        b12 = 0.5 * np.einsum("...h,...khji->...kij", w, riem)
+        gb[..., :m, m:] = b12
+        gb[..., m:, :m] = np.swapaxes(b12, -1, -2)
+        gf[..., :m, :m] = -0.5 * np.einsum("...h,...kijh->...kij", w, riem)
+        gf[..., :m, m:] = gf[..., m:, :m] = gamma
+    elif kind is LiftKind.HORIZONTAL_TM:
+        metric[..., :m, m:] = metric[..., m:, :m] = G
+        inverse[..., :m, m:] = inverse[..., m:, :m] = ginv
+        gb[..., :m, m:] = gb[..., m:, :m] = gamma
+    elif kind is LiftKind.COMPLETE_TM:
+        ul = np.einsum("...h,...ijh->...ij", w, dG)
+        metric[..., :m, :m] = ul
+        metric[..., :m, m:] = metric[..., m:, :m] = G
+        inverse[..., :m, m:] = inverse[..., m:, :m] = ginv
+        inverse[..., m:, m:] = -ginv @ ul @ ginv  # u^h d_h g^{ij}
+        gf[..., :m, :m] = np.einsum("...h,...kijh->...kij", w, dgamma)
+        gf[..., :m, m:] = gf[..., m:, :m] = gamma
+    elif kind is LiftKind.SASAKI_CTM:
+        riem = _riemann(gamma, dgamma)
+        metric[..., :m, :m] = inverse[..., m:, m:] = G
+        metric[..., m:, m:] = inverse[..., :m, :m] = ginv
+        # (1,2) entry (i,j): (1/2) p_n g^{kt} g^{js} R^n_{tis}
+        b12 = 0.5 * np.einsum("...n,...kt,...js,...ntis->...kij", w, ginv, ginv, riem)
+        gb[..., :m, m:] = b12
+        gb[..., m:, :m] = np.swapaxes(b12, -1, -2)
+        # fiber family: [[ (1/2) p_n R^n_{ijk}, -Gamma^j_{ik}], [-Gamma^i_{jk}, 0]]
+        gf[..., :m, :m] = 0.5 * np.einsum("...n,...nijk->...kij", w, riem)
+        f12 = -np.einsum("...jik->...kij", gamma)
+        gf[..., :m, m:] = f12
+        gf[..., m:, :m] = np.swapaxes(f12, -1, -2)
+    else:
+        raise ValueError(f"unknown lift kind: {kind!r}")
+    return metric, inverse, gb, gf
 
 
 def lift_blocks_at(g: ChartedMetric, kind: LiftKind, q: FiberPoint) -> LiftBlocks:
     """Metric, inverse and Christoffel blocks of the lifted metric at a
     bundle point, in the frame reported by ``kind.frame``."""
+    return LiftBlocks(kind, kind.frame, *_lift_blocks(g, kind, q.base, q.fiber))
+
+
+def _lifted_tension(g, ghat, kind, x, w, horizontal_contraction="sasaki-inverse"):
+    """Batched ``(base, fiber)`` trace residuals at bundle points ``(x, w)``."""
     m = g.dim
-    if q.base.shape[0] != m:
-        raise ValueError("fiber point dimension does not match the chart")
-    x, w = q.base, q.fiber
-    G, dG, _, ginv = _base_fields(g, x, order=2)
-    gamma, dgamma = christoffel_and_derivative_at(g, x)
-    zeros = np.zeros((m, m))
-
-    if kind is LiftKind.SASAKI_TM:
-        riem = _riemann(gamma, dgamma)
-        metric = _block(m, G, zeros, zeros, G)
-        inverse = _block(m, ginv, zeros, zeros, ginv)
-        # (1,2) entry (i,j): (1/2) R^k_{hji} u^h ; (2,1) its transpose
-        b12 = 0.5 * np.einsum("h,khji->kij", w, riem)
-        gb = np.stack(
-            [_block(m, gamma[k], b12[k], b12[k].T, zeros) for k in range(m)]
-        )
-        f11 = -0.5 * np.einsum("h,kijh->kij", w, riem)
-        gf = np.stack(
-            [_block(m, f11[k], gamma[k], gamma[k], zeros) for k in range(m)]
-        )
-        return LiftBlocks(kind, "adapted", metric, inverse, gb, gf)
-
+    _, inverse, gb, gf = _lift_blocks(g, kind, x, w)
+    _, _, gb_hat, gf_hat = _lift_blocks(ghat, kind, x, w)
+    contract = inverse
     if kind is LiftKind.HORIZONTAL_TM:
-        metric = _block(m, zeros, G, G, zeros)
-        inverse = _block(m, zeros, ginv, ginv, zeros)
-        gb = np.stack(
-            [_block(m, gamma[k], gamma[k], gamma[k], zeros) for k in range(m)]
-        )
-        gf = np.zeros((m, 2 * m, 2 * m))
-        return LiftBlocks(kind, "adapted", metric, inverse, gb, gf)
-
-    if kind is LiftKind.COMPLETE_TM:
-        ul = np.einsum("h,ijh->ij", w, dG)
-        metric = _block(m, ul, G, G, zeros)
-        lr = -ginv @ ul @ ginv  # u^h d_h g^{ij}
-        inverse = _block(m, zeros, ginv, ginv, lr)
-        gb = np.stack([_block(m, gamma[k], zeros, zeros, zeros) for k in range(m)])
-        f11 = np.einsum("h,kijh->kij", w, dgamma)
-        gf = np.stack(
-            [_block(m, f11[k], gamma[k], gamma[k], zeros) for k in range(m)]
-        )
-        return LiftBlocks(kind, "induced", metric, inverse, gb, gf)
-
-    if kind is LiftKind.SASAKI_CTM:
-        riem = _riemann(gamma, dgamma)
-        metric = _block(m, G, zeros, zeros, ginv)
-        inverse = _block(m, ginv, zeros, zeros, G)
-        # (1,2) entry (i,j): (1/2) p_n g^{kt} g^{js} R^n_{tis}
-        b12 = 0.5 * np.einsum("n,kt,js,ntis->kij", w, ginv, ginv, riem)
-        gb = np.stack(
-            [_block(m, gamma[k], b12[k], b12[k].T, zeros) for k in range(m)]
-        )
-        # fiber family: [[ (1/2) p_n R^n_{ijk}, -Gamma^j_{ik}], [-Gamma^i_{jk}, 0]]
-        f11 = 0.5 * np.einsum("n,nijk->kij", w, riem)
-        f12 = -np.einsum("jik->kij", gamma)
-        gf = np.stack(
-            [_block(m, f11[k], f12[k], f12[k].T, zeros) for k in range(m)]
-        )
-        return LiftBlocks(kind, "adapted", metric, inverse, gb, gf)
-
-    raise ValueError(f"unknown lift kind: {kind!r}")
+        if horizontal_contraction == "sasaki-inverse":
+            contract = np.zeros_like(inverse)
+            contract[..., :m, :m] = contract[..., m:, m:] = inverse[..., :m, m:]
+        elif horizontal_contraction != "own-inverse":
+            raise ValueError(
+                "horizontal_contraction must be 'sasaki-inverse' or 'own-inverse'"
+            )
+    return (
+        np.einsum("...ab,...kba->...k", contract, gb_hat - gb),
+        np.einsum("...ab,...kba->...k", contract, gf_hat - gf),
+    )
 
 
 def lifted_tension_at(
@@ -240,27 +245,10 @@ def lifted_tension_at(
     """
     if g.coords != ghat.coords:
         raise ValueError("lifted pair must share the chart")
-    blocks = lift_blocks_at(g, kind, q)
-    blocks_hat = lift_blocks_at(ghat, kind, q)
-    m = g.dim
-    if kind is LiftKind.HORIZONTAL_TM:
-        if horizontal_contraction == "sasaki-inverse":
-            ginv = blocks.inverse[:m, m:]
-            contract = _block(m, ginv, np.zeros((m, m)), np.zeros((m, m)), ginv)
-        elif horizontal_contraction == "own-inverse":
-            contract = blocks.inverse
-        else:
-            raise ValueError(
-                "horizontal_contraction must be 'sasaki-inverse' or 'own-inverse'"
-            )
-    else:
-        contract = blocks.inverse
-    d_base = blocks_hat.gamma_base - blocks.gamma_base
-    d_fiber = blocks_hat.gamma_fiber - blocks.gamma_fiber
-    return LiftedTension(
-        base=np.einsum("ab,kba->k", contract, d_base),
-        fiber=np.einsum("ab,kba->k", contract, d_fiber),
+    base, fiber = _lifted_tension(
+        g, ghat, kind, q.base, q.fiber, horizontal_contraction
     )
+    return LiftedTension(base=base, fiber=fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +436,7 @@ def lift_to_chart(
             "to lift symbolically"
         )
 
-    lo, hi = fiber_interval
-    domain = g.domain + tuple((float(lo), float(hi)) for _ in range(m))
+    domain = _bundle_box(g.domain, m, fiber_interval)
     return ChartedMetric(coords, mirror_components(entries), domain)
 
 
@@ -508,12 +495,8 @@ def fiber_lattice(
     g: ChartedMetric, count: int, seed: int, fiber_interval=(-1.0, 1.0)
 ) -> list[FiberPoint]:
     """Deterministic fiber points: lattice over base box x fiber box."""
-    from .harmonic import lattice_points
-
     m = g.dim
-    lo, hi = fiber_interval
-    domain = g.domain + tuple((float(lo), float(hi)) for _ in range(m))
-    pts = lattice_points(domain, count, seed)
+    pts = lattice_points(_bundle_box(g.domain, m, fiber_interval), count, seed)
     return [FiberPoint(p[:m], p[m:]) for p in pts]
 
 
@@ -528,73 +511,24 @@ def check_lift_conditions(
 ):
     """Sampled verdict on the lifted-harmonicity trace conditions.
 
-    Evaluates ``lifted_tension_at`` on a deterministic lattice of bundle
-    points (shared base box x fiber box) and reports the worst residual
-    over both output families; ``per_component_max`` lists the m base
-    components followed by the m fiber components.  Bundle points whose
-    base projection makes either metric near-degenerate are skipped and
-    replaced, up to 10x oversampling.
+    Evaluates the trace residuals of ``lifted_tension_at`` on a
+    deterministic lattice of bundle points (shared base box x fiber box),
+    batched ``LIFT_SLICE_POINTS`` points at a time, and reports the worst
+    residual over both output families; ``per_component_max`` lists the
+    m base components followed by the m fiber components.  Bundle points
+    whose base projection makes either metric near-degenerate are
+    skipped and replaced, up to 10x oversampling.
     """
-    from .harmonic import (
-        DEGENERACY_EPS,
-        HarmonicityReport,
-        VERDICT_HARMONIC,
-        VERDICT_NOT,
-        lattice_points,
-        shared_domain,
-    )
-    from .metric import metric_at
-
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
     m = g.dim
-    lo, hi = fiber_interval
-    domain = shared_domain(g, ghat) + tuple(
-        (float(lo), float(hi)) for _ in range(m)
-    )
-    kept: list[np.ndarray] = []
-    start = scanned = 0
-    limit = 10 * samples
-    while len(kept) < samples and scanned < limit:
-        chunk = min(samples, limit - scanned)
-        cand = lattice_points(domain, chunk, seed, start=start)
-        start += chunk
-        scanned += chunk
-        det_a = np.linalg.det(metric_at(g, cand[:, :m]))
-        det_b = np.linalg.det(metric_at(ghat, cand[:, :m]))
-        ok = (np.abs(det_a) > DEGENERACY_EPS) & (np.abs(det_b) > DEGENERACY_EPS)
-        for row, good in zip(cand, ok):
-            if good and len(kept) < samples:
-                kept.append(row)
-    if len(kept) < samples:
-        from .harmonic import SamplingExhausted
 
-        raise SamplingExhausted(
-            f"only {len(kept)} of {samples} bundle sample points had a "
-            f"nondegenerate base after scanning {scanned} candidates"
-        )
+    def residual(pts):
+        out = np.empty((pts.shape[0], 2 * m))
+        for s in range(0, pts.shape[0], LIFT_SLICE_POINTS):
+            chunk = pts[s : s + LIFT_SLICE_POINTS]
+            out[s : s + LIFT_SLICE_POINTS] = np.concatenate(
+                _lifted_tension(g, ghat, kind, chunk[:, :m], chunk[:, m:]), axis=-1
+            )
+        return out
 
-    per_component = np.zeros(2 * m)
-    max_abs = -1.0
-    worst = kept[0]
-    for row in kept:
-        q = FiberPoint(row[:m], row[m:])
-        t = lifted_tension_at(g, ghat, kind, q)
-        resid = np.concatenate([np.abs(t.base), np.abs(t.fiber)])
-        per_component = np.maximum(per_component, resid)
-        r = float(resid.max())
-        if r > max_abs:
-            max_abs = r
-            worst = row
-    verdict = VERDICT_HARMONIC if max_abs <= tol else VERDICT_NOT
-    return HarmonicityReport(
-        verdict=verdict,
-        max_abs_residual=max_abs,
-        worst_point=tuple(float(v) for v in worst),
-        per_component_max=tuple(float(v) for v in per_component),
-        samples_used=len(kept),
-        tolerance=float(tol),
-        seed=int(seed),
-    )
+    domain = _bundle_box(shared_domain(g, ghat), m, fiber_interval)
+    return _sampled_report(g, ghat, domain, residual, samples, tol, seed)

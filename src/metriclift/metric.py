@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
-from .jets import Jet2
+from .jets import Jet2, as_jet2
 
 __all__ = [
     "ChartedMetric",
@@ -91,6 +91,8 @@ class ChartedMetric:
         if len(self.domain) != m:
             raise ValueError("domain must give one interval per coordinate")
         for lo, hi in self.domain:
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"domain interval [{lo}, {hi}] must have finite ends")
             if not (lo <= hi):
                 raise ValueError(f"empty domain interval [{lo}, {hi}]")
 
@@ -191,9 +193,7 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     d2G = np.empty(base + (m, m, m, m)) if order >= 2 else None
     for i in range(m):
         for j in range(i, m):
-            out = ex.evaluate(g.components[i][j], env, memo)
-            if not isinstance(out, Jet2):
-                out = Jet2.constant(np.broadcast_to(np.asarray(out, float), base), m, order)
+            out = as_jet2(ex.evaluate(g.components[i][j], env, memo), base, m, order)
             G[..., i, j] = G[..., j, i] = out.value
             dG[..., i, j, :] = dG[..., j, i, :] = out.grad
             if order >= 2:
@@ -238,11 +238,8 @@ def christoffel_at(g: ChartedMetric, x) -> ChristoffelSet:
     return ChristoffelSet(gamma)
 
 
-def christoffel_and_derivative_at(g: ChartedMetric, x):
-    """``(gamma, dgamma)`` with ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
-    computed from exact second jets (needed by curvature and the
-    fiber-contracted blocks of complete lifts)."""
-    G, dG, d2G = metric_jets_at(g, x, order=2)
+def _connection_from_jets(G, dG, d2G, x):
+    """``(gamma, dgamma, ginv)`` from second jets of the components."""
     gamma, ginv, C = _gamma_from_jets(G, dG, x)
     # d_p g^{kl} = -g^{ka} (d_p g_ab) g^{bl}
     dginv = -np.einsum("...ka,...abp,...bl->...klp", ginv, dG, ginv)
@@ -255,14 +252,24 @@ def christoffel_and_derivative_at(g: ChartedMetric, x):
         np.einsum("...klp,...lij->...kijp", dginv, C)
         + np.einsum("...kl,...lijp->...kijp", ginv, dC)
     )
+    return gamma, dgamma, ginv
+
+
+def christoffel_and_derivative_at(g: ChartedMetric, x):
+    """``(gamma, dgamma)`` with ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
+    computed from exact second jets (needed by curvature and the
+    fiber-contracted blocks of complete lifts)."""
+    gamma, dgamma, _ = _connection_from_jets(*metric_jets_at(g, x, order=2), x)
     return gamma, dgamma
+
+
+def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    # d_i Gamma^k_{jh} lives at dgamma[..., k, j, h, i]
+    P = np.einsum("...kjhi->...kijh", dgamma)
+    Q = np.einsum("...kil,...ljh->...kijh", gamma, gamma)
+    return (P - np.swapaxes(P, -3, -2)) + (Q - np.swapaxes(Q, -3, -2))
 
 
 def curvature_at(g: ChartedMetric, x) -> CurvatureField:
     """Curvature tensor R^k_{ijh}; antisymmetry in (i, j) is exact."""
-    gamma, dgamma = christoffel_and_derivative_at(g, x)
-    # d_i Gamma^k_{jh} lives at dgamma[..., k, j, h, i]
-    P = np.einsum("...kjhi->...kijh", dgamma)
-    Q = np.einsum("...kil,...ljh->...kijh", gamma, gamma)
-    riem = (P - np.swapaxes(P, -3, -2)) + (Q - np.swapaxes(Q, -3, -2))
-    return CurvatureField(riem)
+    return CurvatureField(_riemann(*christoffel_and_derivative_at(g, x)))

@@ -127,6 +127,37 @@ class TestCheck:
         assert doc["lift"] == kind
         assert len(doc["per_component_max"]) == 6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lift", ["none", "sasaki-tm"])
+    @pytest.mark.parametrize(
+        "g11, h11, domain",
+        [
+            # an infinite sampling box puts inf and NaN into the lattice
+            ("1+x1^2", "2+x1^2", [[0, float("inf")], [-1, 1]]),
+            # components overflow inside the box
+            ("exp(1000*x1)", "exp(900*x1)", None),
+        ],
+        ids=["infinite-domain", "overflow"],
+    )
+    def test_non_finite_input_exits_two_with_strict_json(
+        self, tmp_path, capsys, g11, h11, domain, lift
+    ):
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [[g11, "0"], ["0", "1"]],
+            "hat_metric": [[h11, "0"], ["0", "1"]],
+        }
+        if domain is not None:
+            doc["domain"] = domain
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path, "--lift", lift)
+        assert code == 2
+
+        def reject(token):
+            raise AssertionError(f"non-JSON constant {token} in output")
+
+        assert "error" in json.loads(out, parse_constant=reject)
+
 
 class TestLift:
     def test_lift_none_echoes_manifest(self, tmp_path, capsys):

@@ -17,6 +17,7 @@ from metriclift.harmonic import (
     tension_identity_at,
     tension_map_at,
 )
+from metriclift.lifts import LiftKind, check_lift_conditions
 from metriclift.metric import ChartedMetric, christoffel_at, inverse_metric_at
 from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, domain_points
 
@@ -174,6 +175,8 @@ class TestCheckHarmonic:
         )
         with pytest.raises(SamplingExhausted):
             check_harmonic(g, g, samples=8)
+        with pytest.raises(SamplingExhausted):
+            check_lift_conditions(g, g, LiftKind.SASAKI_TM, samples=8)
 
 
 class TestLattice:

@@ -3,7 +3,7 @@ import pytest
 
 import metriclift.lifts as lifts_mod
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
-from metriclift.harmonic import tension_identity_at
+from metriclift.harmonic import lattice_points, shared_domain, tension_identity_at
 from metriclift.lifts import (
     FiberPoint,
     LiftKind,
@@ -384,3 +384,30 @@ class TestCheckLiftConditions:
         a = check_lift_conditions(g, ghat, LiftKind.SASAKI_TM, samples=12, seed=5)
         b = check_lift_conditions(g, ghat, LiftKind.SASAKI_TM, samples=12, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize(
+        "name, g, ghat",
+        [pytest.param(*p, id=p[0]) for p in HARMONIC_PAIRS + NON_HARMONIC_PAIRS],
+    )
+    def test_batched_matches_single_point_loop(self, name, g, ghat, kind):
+        # Reference: one lifted_tension_at call per lattice point of the
+        # bundle box.  The batched path sums in another order, so values
+        # may move by a few ulps of the O(1) block entries: 4 eps, fixed
+        # from float64 before any run.  21 samples leave a partial slice.
+        samples, seed, m = 21, 7, g.dim
+        box = shared_domain(g, ghat) + ((-1.0, 1.0),) * m
+        pts = lattice_points(box, samples, seed)
+        ref = []
+        for p in pts:
+            t = lifted_tension_at(g, ghat, kind, FiberPoint(p[:m], p[m:]))
+            ref.append(np.abs(np.concatenate([t.base, t.fiber])))
+        ref = np.array(ref)
+        rep = check_lift_conditions(g, ghat, kind, samples=samples, seed=seed)
+        tol = 4 * np.finfo(float).eps * max(1.0, ref.max())
+        assert rep.samples_used == samples
+        assert abs(rep.max_abs_residual - ref.max()) <= tol
+        assert np.abs(np.array(rep.per_component_max) - ref.max(axis=0)).max() <= tol
+        if name in {n for n, _, _ in NON_HARMONIC_PAIRS}:
+            worst = int(np.argmax(ref.max(axis=1)))
+            assert rep.worst_point == tuple(pts[worst])
