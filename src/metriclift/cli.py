@@ -322,6 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _error(kind: str, message: str) -> int:
+    doc = {"tool": _tool_doc(), "error": {"kind": kind, "message": message}}
+    sys.stdout.write(_dump(doc))
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -333,13 +339,15 @@ def main(argv=None) -> int:
         MetricDegenerate,
         SamplingExhausted,
         ValueError,
+        OverflowError,
     ) as err:
-        doc = {
-            "tool": _tool_doc(),
-            "error": {"kind": type(err).__name__, "message": str(err)},
-        }
-        sys.stdout.write(_dump(doc))
-        return 2
+        return _error(type(err).__name__, str(err))
+    except RecursionError as err:
+        # parsing, printing and evaluation recurse once per nesting level
+        return _error(
+            "RecursionError",
+            f"an expression (or the manifest) is nested too deeply to process: {err}",
+        )
     sys.stdout.write(out)
     return code
 

@@ -1,7 +1,9 @@
 """Small mathematical expression language for metric components.
 
 Sources are parsed over a declared symbol list (coordinate and parameter
-names) into immutable trees; evaluation is pure.  The same trees serve
+names) into immutable trees; evaluation is pure.  Parsing is hash-consed:
+structurally identical subtrees come back as one shared node, so a
+printed DAG parses back into a DAG.  The same trees serve
 plain float evaluation, jet evaluation (exact first/second derivatives,
 see :mod:`metriclift.jets`) and symbolic assembly of derived expressions
 such as Christoffel symbols of lifted metrics.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -82,7 +84,8 @@ class ExprSyntaxError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the real domain of some subexpression."""
+    """Evaluation left the real domain (or the float range) of some
+    subexpression."""
 
     def __init__(self, message: str, culprit: str):
         super().__init__(f"{message} in '{culprit}'")
@@ -124,137 +127,147 @@ ExprAst = Union[Num, Sym, Neg, Binary, Call]
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_VALID_TOKEN_RE = re.compile(rf"{_NUMBER}|{_NAME}|[-+*/^(),]")
+# Every non-space character starts a match, so one findall pass sees the
+# whole source; a character that starts no valid token comes out alone.
+_TOKEN_RE = re.compile(rf"\s*({_NUMBER}|{_NAME}|[-+*/^(),]|\S)")
+_OPS = frozenset("-+*/^(),")
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
+def _tokenize(source: str) -> list[str]:
+    """Token texts in order, closed by "" for the end of input."""
+    tokens = _TOKEN_RE.findall(source)
+    bad = [t for t in set(tokens) if not _VALID_TOKEN_RE.fullmatch(t)]
+    if bad:
+        pos = min(tokens.index(t) for t in bad)
+        raise ExprSyntaxError(
+            f"unexpected character {tokens[pos]!r}", _token_offset(source, pos)
+        )
+    tokens.append("")
     return tokens
 
 
+def _token_offset(source: str, pos: int) -> int:
+    # offsets are only needed for errors, so they are found again then
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(source)]
+    return starts[pos] if pos < len(starts) else len(source)
+
+
 class _Parser:
-    def __init__(self, source: str, symbols: Sequence[str]):
+    def __init__(self, source: str, symbols: Sequence[str], table: dict):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.symbols = {name: i for i, name in enumerate(symbols)}
+        self.table = table
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def node(self, key: tuple, cls, *fields) -> ExprAst:
+        # hash-consing: one node per key.  Children are interned first, so
+        # their ids identify them; the table holds every node it returned,
+        # which keeps those ids from being reused.
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = cls(*fields)
+        return got
 
-    def advance(self):
-        tok = self.tokens[self.pos]
+    def fail(self, message: str, pos: int) -> NoReturn:
+        raise ExprSyntaxError(message, _token_offset(self.source, pos))
+
+    def expect(self, op: str):
+        if self.tokens[self.pos] != op:
+            self.fail(f"expected {op!r}", self.pos)
         self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}", offset)
-        self.advance()
 
     def parse(self) -> ExprAst:
         e = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
+        text = self.tokens[self.pos]
+        if text:
+            self.fail(f"unexpected trailing input {text!r}", self.pos)
         return e
 
     def expr(self) -> ExprAst:
         left = self.term()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                left = Binary(text, left, right)
-            else:
+            op = self.tokens[self.pos]
+            if op != "+" and op != "-":
                 return left
+            self.pos += 1
+            right = self.term()
+            left = self.node((Binary, op, id(left), id(right)), Binary, op, left, right)
 
     def term(self) -> ExprAst:
         left = self.unary()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.unary()
-                left = Binary(text, left, right)
-            else:
+            op = self.tokens[self.pos]
+            if op != "*" and op != "/":
                 return left
+            self.pos += 1
+            right = self.unary()
+            left = self.node((Binary, op, id(left), id(right)), Binary, op, left, right)
 
     def unary(self) -> ExprAst:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
+        if self.tokens[self.pos] == "-":
+            self.pos += 1
+            arg = self.unary()
+            return self.node((Neg, id(arg)), Neg, arg)
         return self.power()
 
     def power(self) -> ExprAst:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Binary("^", base, self.unary())
+        if self.tokens[self.pos] == "^":
+            self.pos += 1
+            expo = self.unary()
+            return self.node((Binary, "^", id(base), id(expo)), Binary, "^", base, expo)
         return base
 
     def atom(self) -> ExprAst:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            nk, nt, _ = self.peek()
-            if nk == "op" and nt == "(":
-                if text not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function '{text}'", offset)
-                self.advance()
-                arg = self.expr()
-                k2, t2, off2 = self.peek()
-                if k2 == "op" and t2 == ",":
-                    raise ExprSyntaxError(
-                        f"function '{text}' takes exactly one argument", off2
-                    )
-                self.expect_op(")")
-                return Call(text, arg)
-            if text not in self.symbols:
-                raise ExprSyntaxError(f"unknown identifier '{text}'", offset)
-            return Sym(self.symbols[text], text)
-        if kind == "op" and text == "(":
+        pos = self.pos
+        text = self.tokens[pos]
+        self.pos = pos + 1
+        if text == "(":
             e = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return e
-        if kind == "end":
-            raise ExprSyntaxError("unexpected end of input", offset)
-        raise ExprSyntaxError(f"unexpected token {text!r}", offset)
+        if not text:
+            self.fail("unexpected end of input", pos)
+        if text in _OPS:
+            self.fail(f"unexpected token {text!r}", pos)
+        if not text.isidentifier():
+            value = float(text)
+            # float.hex keeps distinct floats (0.0 and -0.0 too) apart
+            return self.node((Num, value.hex()), Num, value)
+        if self.tokens[self.pos] == "(":
+            if text not in FUNCTIONS:
+                self.fail(f"unknown function '{text}'", pos)
+            self.pos += 1
+            arg = self.expr()
+            if self.tokens[self.pos] == ",":
+                self.fail(f"function '{text}' takes exactly one argument", self.pos)
+            self.expect(")")
+            return self.node((Call, text, id(arg)), Call, text, arg)
+        index = self.symbols.get(text)
+        if index is None:
+            self.fail(f"unknown identifier '{text}'", pos)
+        return self.node((Sym, index, text), Sym, index, text)
 
 
-def parse_expression(source: str, symbols: Sequence[str]) -> ExprAst:
-    """Parse ``source`` over the declared ``symbols`` (order fixes indices)."""
+def parse_expression(
+    source: str, symbols: Sequence[str], table: dict | None = None
+) -> ExprAst:
+    """Parse ``source`` over the declared ``symbols`` (order fixes indices).
+
+    Structurally identical subtrees come back as one shared node, so the
+    identity-keyed memos of :func:`evaluate` and :func:`to_source` see
+    each of them once.  ``table`` holds the nodes built so far; pass one
+    dict when parsing a family of related sources over the same
+    ``symbols`` to share subtrees between them too."""
     if not symbols:
         raise ValueError("symbol list must be nonempty")
     if len(set(symbols)) != len(symbols):
         raise ValueError("symbol names must be distinct")
-    return _Parser(source, symbols).parse()
+    return _Parser(source, symbols, {} if table is None else table).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +292,44 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
-def to_source(e: ExprAst) -> str:
-    """Render a tree back to parseable source text."""
+def to_source(e: ExprAst, memo: dict | None = None) -> str:
+    """Render a tree back to parseable source text.  ``memo`` (by node
+    identity) renders each shared node once; pass one dict when printing
+    a family of related trees."""
+    if memo is None:
+        memo = {}
 
     def wrap(child: ExprAst, minimum: int) -> str:
-        s = to_source(child)
+        s = render(child)
         return f"({s})" if _prec(child) < minimum else s
 
-    if isinstance(e, Num):
-        return _fmt_num(e.value)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.arg, _PREC_UNARY)
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    if isinstance(e, Binary):
-        if e.op in "+-":
-            return f"{wrap(e.left, _PREC_ADD)} {e.op} {wrap(e.right, _PREC_ADD + 1)}"
-        if e.op in "*/":
-            return f"{wrap(e.left, _PREC_MUL)}{e.op}{wrap(e.right, _PREC_MUL + 1)}"
-        # power: right-associative, left operand must be atomic
-        return f"{wrap(e.left, _PREC_ATOM)}^{wrap(e.right, _PREC_UNARY)}"
-    raise TypeError(f"not an expression node: {e!r}")
+    def render(node: ExprAst) -> str:
+        key = id(node)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if isinstance(node, Num):
+            s = _fmt_num(node.value)
+        elif isinstance(node, Sym):
+            s = node.name
+        elif isinstance(node, Neg):
+            s = "-" + wrap(node.arg, _PREC_UNARY)
+        elif isinstance(node, Call):
+            s = f"{node.fn}({render(node.arg)})"
+        elif isinstance(node, Binary):
+            if node.op in "+-":
+                s = f"{wrap(node.left, _PREC_ADD)} {node.op} {wrap(node.right, _PREC_ADD + 1)}"
+            elif node.op in "*/":
+                s = f"{wrap(node.left, _PREC_MUL)}{node.op}{wrap(node.right, _PREC_MUL + 1)}"
+            else:
+                # power: right-associative, left operand must be atomic
+                s = f"{wrap(node.left, _PREC_ATOM)}^{wrap(node.right, _PREC_UNARY)}"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        memo[key] = s
+        return s
+
+    return render(e)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +517,10 @@ def _apply_fn(name: str, x, node: ExprAst):
         raise EvalDomainError("sqrt of negative value", to_source(node))
     scalar_fn, array_fn = _MATH_FNS[name]
     if isinstance(x, (int, float)):
-        return scalar_fn(x)
+        try:
+            return scalar_fn(x)
+        except OverflowError:
+            raise EvalDomainError(f"{name} overflows the float range", to_source(node)) from None
     return array_fn(v)
 
 

@@ -103,7 +103,8 @@ class ChartedMetric:
     @classmethod
     def from_strings(cls, coords, entries, domain) -> "ChartedMetric":
         """Parse a matrix of expression strings.  Mirror entries must be
-        textually identical; the parsed upper triangle is shared."""
+        textually identical; the parsed upper triangle is shared, and so
+        is every subtree that occurs more than once in the matrix."""
         coords = tuple(coords)
         m = len(coords)
         if len(entries) != m or any(len(r) != m for r in entries):
@@ -115,15 +116,20 @@ class ChartedMetric:
                         f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                         "must be identical"
                     )
+        table: dict = {}
         parsed = [
-            [ex.parse_expression(str(entries[i][j]), coords) if j >= i else None for j in range(m)]
+            [
+                ex.parse_expression(str(entries[i][j]), coords, table) if j >= i else None
+                for j in range(m)
+            ]
             for i in range(m)
         ]
         dom = tuple((float(lo), float(hi)) for lo, hi in domain)
         return cls(coords, mirror_components(parsed), dom)
 
     def component_sources(self) -> list[list[str]]:
-        return [[ex.to_source(e) for e in row] for row in self.components]
+        memo: dict = {}
+        return [[ex.to_source(e, memo) for e in row] for row in self.components]
 
 
 @dataclass(frozen=True)

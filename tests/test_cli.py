@@ -20,6 +20,13 @@ def write_manifest(tmp_path, name, doc):
     return str(p)
 
 
+def strict_json(text):
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token} in output")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def egorov_manifest(fhat="exp(x3)+0.5", lift="none", **extra):
     doc = {
         "dimension": 3,
@@ -152,11 +159,29 @@ class TestCheck:
         path = write_manifest(tmp_path, "m.json", doc)
         code, out = run_cli(capsys, "check", "--manifest", path, "--lift", lift)
         assert code == 2
+        assert "error" in strict_json(out)
 
-        def reject(token):
-            raise AssertionError(f"non-JSON constant {token} in output")
+    def test_infinite_sample_count_exits_two(self, tmp_path, capsys):
+        # int(inf) raises OverflowError, not ValueError
+        path = write_manifest(tmp_path, "m.json", egorov_manifest(samples=float("inf")))
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        assert strict_json(out)["error"]["kind"] == "OverflowError"
 
-        assert "error" in json.loads(out, parse_constant=reject)
+    def test_deeply_nested_entry_exits_two(self, tmp_path, capsys):
+        # a left-leaning sum 3000 levels deep is over the recursion limit
+        deep = " + ".join(f"{k}*x1" for k in range(1, 3001))
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [[f"{deep} + 5", "0"], ["0", "1"]],
+            "hat_metric": [["1", "0"], ["0", "1"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "RecursionError"
+        assert "nested too deeply" in err["message"]
 
 
 class TestLift:
@@ -258,6 +283,15 @@ class TestTensors:
         path = write_manifest(tmp_path, "m.json", egorov_manifest())
         code, _ = run_cli(capsys, "tensors", "--manifest", path, "--at", "0,0")
         assert code == 2
+
+    def test_overflow_at_point_exits_two(self, tmp_path, capsys):
+        doc = {"coordinates": ["x1", "x2"], "metric": [["exp(1000*x1)", "0"], ["0", "1"]]}
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "tensors", "--manifest", path, "--at", "0.9,0")
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "EvalDomainError"
+        assert "exp(1000*x1)" in err["message"]
 
     def test_at_required(self, tmp_path, capsys):
         path = write_manifest(tmp_path, "m.json", egorov_manifest())

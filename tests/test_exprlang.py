@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metriclift import exprlang as ex
 from metriclift.exprlang import (
@@ -74,6 +76,30 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError, match="unexpected character"):
             parse_expression("x1 @ 2", ["x1"])
 
+    @pytest.mark.parametrize(
+        "source,message,offset",
+        [
+            ("   $x1", "unexpected character '$'", 3),
+            ("x1 +   @ x2", "unexpected character '@'", 7),
+            (" x1 * \t# 2", "unexpected character '#'", 7),
+            ("x1\n+\n!", "unexpected character '!'", 5),
+            ("x1 . 2", "unexpected character '.'", 3),
+            ("\xa0x1 \xa0\u00e9", "unexpected character '\u00e9'", 5),
+            ("  x1 +  ", "unexpected end of input", 8),
+            ("  ", "unexpected end of input", 2),
+            ("", "unexpected end of input", 0),
+            ("x1   x2", "unexpected trailing input 'x2'", 5),
+            ("x1 + 1.  .5", "unexpected trailing input '.5'", 9),
+            ("   (x1  ", "expected ')'", 8),
+            ("x1 + sin( x1 , 2)", "function 'sin' takes exactly one argument", 13),
+        ],
+    )
+    def test_error_offsets_around_whitespace(self, source, message, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(source, ["x1"])
+        assert str(exc.value) == f"{message} (at offset {offset})"
+        assert exc.value.offset == offset
+
     def test_symbols_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             parse_expression("x1", ["x1", "x1"])
@@ -81,6 +107,28 @@ class TestParsing:
     def test_symbols_must_be_nonempty(self):
         with pytest.raises(ValueError, match="nonempty"):
             parse_expression("1", [])
+
+
+class TestSharing:
+    def test_identical_subtrees_are_one_node(self):
+        e = parse_expression("sin(x1*x2) + sin(x1*x2)", ["x1", "x2"])
+        assert e.left is e.right
+
+    def test_distinct_floats_never_share(self):
+        e = parse_expression("0.1 + 0.10000000000000002", ["x1"])
+        assert e.left is not e.right
+        assert e.left.value != e.right.value
+        table = {}
+        a = parse_expression("0.1*x1", ["x1"], table)
+        b = parse_expression("0.10000000000000002*x1", ["x1"], table)
+        assert a.left is not b.left
+        assert a.right is b.right
+
+    def test_table_shares_across_sources(self):
+        table = {}
+        a = parse_expression("exp(x1) + 1", ["x1"], table)
+        b = parse_expression("2*exp(x1)", ["x1"], table)
+        assert a.left is b.right
 
 
 class TestEvaluation:
@@ -137,6 +185,11 @@ class TestEvaluation:
     def test_sqrt_domain_error(self):
         with pytest.raises(EvalDomainError, match="sqrt"):
             eval_value(parse_expression("sqrt(x1)", ["x1"]), [-1.0])
+
+    def test_scalar_overflow_names_culprit(self):
+        e = parse_expression("1 + exp(1000*x1)", ["x1"])
+        with pytest.raises(EvalDomainError, match=r"exp overflows .* in 'exp\(1000\*x1\)'"):
+            ex.evaluate(e, [0.9])
 
     def test_deterministic_bitwise(self):
         e = parse_expression("sin(x1)*exp(x2)/(cosh(x1)+2)", ["x1", "x2"])
@@ -259,3 +312,48 @@ def test_to_source_negative_constant_operand_reparses():
     src = to_source(e)
     back = parse_expression(src, ["x1"])
     assert eval_value(back, [3.0]) == -6.0
+
+
+# Trees for the print/reparse property: every node kind, any finite
+# constant but -0.0 (printed as "0"), and subtree objects used twice.
+_CONSTANTS = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: math.copysign(1.0, v) > 0 or v != 0.0
+)
+_LEAVES = st.one_of(
+    _CONSTANTS.map(Num),
+    st.sampled_from([Sym(0, "x1"), Sym(1, "x2")]),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(Call, st.sampled_from(sorted(ex.FUNCTIONS)), children),
+        st.builds(Binary, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda op, c: Binary(op, c, c), st.sampled_from("+-*/^"), children),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def _outcome(fn):
+    """Bytes of every result array, or the type and text of the error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn()
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    if isinstance(out, ex.Jet2):
+        return tuple(np.asarray(a, dtype=float).tobytes() for a in (out.value, out.grad, out.hess))
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.0)]))
+def test_reparse_evaluates_bit_identically(e, point):
+    back = parse_expression(to_source(e), ["x1", "x2"])
+    assert _outcome(lambda: ex.evaluate(back, list(point))) == _outcome(
+        lambda: ex.evaluate(e, list(point))
+    )
+    assert _outcome(lambda: eval_jet2(back, point)) == _outcome(lambda: eval_jet2(e, point))
