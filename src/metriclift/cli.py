@@ -40,7 +40,7 @@ from .gallery import (
     walker_metric,
 )
 from .harmonic import SamplingExhausted, check_harmonic
-from .lifts import LiftKind, check_lift_conditions, lift_to_chart
+from .lifts import LiftKind, LiftTooLarge, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
     MetricDegenerate,
@@ -338,6 +338,7 @@ def main(argv=None) -> int:
         ExprError,
         MetricDegenerate,
         SamplingExhausted,
+        LiftTooLarge,
         ValueError,
         OverflowError,
     ) as err:

@@ -16,27 +16,28 @@ supported, each in two presentations:
   fixed-size slices of the sampled points.
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
-  component trees, their derivatives and the cofactor inverse, with no
-  simplification beyond 0/1 folding.  The result feeds the wholly
-  generic pipeline and serves as an independent oracle for the block
-  formulas.
+  component trees and their derivatives, with no simplification beyond
+  0/1 folding; the Sasaki kinds also use the Christoffel trees built
+  from the cofactor inverse.  The result feeds the wholly generic
+  pipeline and serves as an independent oracle for the block formulas.
 
 Conventions.  On TM the fiber coordinates are vector components u^i and
 the adapted frame is ``delta_i = d_i - u^h Gamma^k_{hi} d/du^k`` (sum
 over the fiber index k).  On T*M the fiber coordinates are covector
 components p_i and ``delta_i = d_i + p_a Gamma^a_{ki} d/dp_k``.  The
 complete and horizontal lift metrics coincide as metrics (their
-coordinate matrices agree by metric compatibility); they are kept as
-separate kinds because their block presentations, frames and standard
+coordinate matrices agree by metric compatibility), so ``lift_to_chart``
+builds both from the complete-lift assembly; they are kept as separate
+kinds because their block presentations, frames and standard
 harmonicity conditions differ.
 
 The lifted-identity-map harmonicity conditions are trace conditions on
 block differences.  ``lifted_tension_at`` evaluates them exactly as the
 standard block computation states them, including the convention that
 the horizontal-lift condition is contracted against the Sasaki-type
-inverse; contracting against the horizontal metric's own inverse yields
-exactly twice the same quantity (both vanish together), and is available
-via ``horizontal_contraction="own-inverse"``.
+inverse diag(g^-1, g^-1); contracting against the horizontal metric's
+own inverse yields exactly twice the same quantity (both vanish
+together).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from .metric import (
 
 __all__ = [
     "LiftKind",
+    "LiftTooLarge",
     "FiberPoint",
     "LiftBlocks",
     "LiftedTension",
@@ -80,6 +82,11 @@ MAX_LIFT_TREE_SIZE = 2_000_000
 # the (N, m, 2m, 2m) block arrays of one unbounded 64-point batch raised
 # peak memory by a fifth; small slices keep it at the per-point level.
 LIFT_SLICE_POINTS = 8
+
+
+class LiftTooLarge(RuntimeError):
+    """The symbolically assembled lifted chart is over ``MAX_LIFT_TREE_SIZE``
+    printed nodes."""
 
 
 class LiftKind(enum.Enum):
@@ -206,20 +213,16 @@ def lift_blocks_at(g: ChartedMetric, kind: LiftKind, q: FiberPoint) -> LiftBlock
     return LiftBlocks(kind, kind.frame, *_lift_blocks(g, kind, q.base, q.fiber))
 
 
-def _lifted_tension(g, ghat, kind, x, w, horizontal_contraction="sasaki-inverse"):
+def _lifted_tension(g, ghat, kind, x, w):
     """Batched ``(base, fiber)`` trace residuals at bundle points ``(x, w)``."""
     m = g.dim
     _, inverse, gb, gf = _lift_blocks(g, kind, x, w)
     _, _, gb_hat, gf_hat = _lift_blocks(ghat, kind, x, w)
     contract = inverse
     if kind is LiftKind.HORIZONTAL_TM:
-        if horizontal_contraction == "sasaki-inverse":
-            contract = np.zeros_like(inverse)
-            contract[..., :m, :m] = contract[..., m:, m:] = inverse[..., :m, m:]
-        elif horizontal_contraction != "own-inverse":
-            raise ValueError(
-                "horizontal_contraction must be 'sasaki-inverse' or 'own-inverse'"
-            )
+        # the Sasaki-type inverse diag(g^-1, g^-1)
+        contract = np.zeros_like(inverse)
+        contract[..., :m, :m] = contract[..., m:, m:] = inverse[..., :m, m:]
     return (
         np.einsum("...ab,...kba->...k", contract, gb_hat - gb),
         np.einsum("...ab,...kba->...k", contract, gf_hat - gf),
@@ -231,7 +234,6 @@ def lifted_tension_at(
     ghat: ChartedMetric,
     kind: LiftKind,
     q: FiberPoint,
-    horizontal_contraction: str = "sasaki-inverse",
 ) -> LiftedTension:
     """Trace residuals tr(inv . (hat-blocks - blocks)) of the lifted
     identity map, per output family.
@@ -239,15 +241,12 @@ def lifted_tension_at(
     Both metrics' blocks are formed at the same bundle point; the
     contraction uses the lift of ``g``.  For the horizontal kind the
     standard condition contracts against the Sasaki-type inverse
-    diag(g^-1, g^-1); ``horizontal_contraction="own-inverse"`` contracts
-    against the horizontal metric's own inverse instead, which doubles
-    the value and has the same zero set.
+    diag(g^-1, g^-1); the horizontal metric's own inverse would give
+    twice the value, with the same zero set.
     """
     if g.coords != ghat.coords:
         raise ValueError("lifted pair must share the chart")
-    base, fiber = _lifted_tension(
-        g, ghat, kind, q.base, q.fiber, horizontal_contraction
-    )
+    base, fiber = _lifted_tension(g, ghat, kind, q.base, q.fiber)
     return LiftedTension(base=base, fiber=fiber)
 
 
@@ -288,12 +287,12 @@ def _symbolic_inverse(components):
             if (k + l) % 2 == 1:
                 cof = ex.neg(cof)
             inv[k][l] = inv[l][k] = ex.div(cof, det)
-    return inv, det
+    return inv
 
 
 def _symbolic_christoffels(g: ChartedMetric):
     """Christoffel symbol trees Gamma[k][i][j] over the base chart, with
-    (i, j) entries shared, plus the component derivative trees."""
+    (i, j) entries shared, plus the cofactor inverse trees."""
     m = g.dim
     comp = g.components
     dg = [[[None] * m for _ in range(m)] for _ in range(m)]  # [i][j][l]
@@ -302,7 +301,7 @@ def _symbolic_christoffels(g: ChartedMetric):
             for l in range(m):
                 d = ex.differentiate(comp[i][j], l)
                 dg[i][j][l] = dg[j][i][l] = d
-    ginv, _ = _symbolic_inverse(comp)
+    ginv = _symbolic_inverse(comp)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]  # [k][i][j]
     for k in range(m):
         for i in range(m):
@@ -312,7 +311,7 @@ def _symbolic_christoffels(g: ChartedMetric):
                     combo = ex.sub(ex.add(dg[j][l][i], dg[i][l][j]), dg[i][j][l])
                     acc = ex.add(acc, ex.mul(ginv[k][l], combo))
                 gamma[k][i][j] = gamma[k][j][i] = ex.mul(ex.const(0.5), acc)
-    return gamma, dg, ginv
+    return gamma, ginv
 
 
 _XN_RE = re.compile(r"^x(\d+)$")
@@ -347,7 +346,10 @@ def lift_to_chart(
 ) -> ChartedMetric:
     """Lifted metric as a charted metric on the induced 2m-dimensional
     chart, assembled symbolically (coframe products over the component
-    trees; Christoffels from the cofactor inverse)."""
+    trees).  The horizontal lift takes the complete-lift assembly, as the
+    two coincide for the Levi-Civita connection; only the Sasaki kinds use
+    Christoffel trees, built from the cofactor inverse.  Raises
+    :class:`LiftTooLarge` over ``MAX_LIFT_TREE_SIZE`` printed nodes."""
     m = g.dim
     fiber = _fiber_names(g.coords, kind.cotangent)
     coords = g.coords + fiber
@@ -357,7 +359,8 @@ def lift_to_chart(
 
     entries = [[zero] * (2 * m) for _ in range(2 * m)]
 
-    if kind is LiftKind.COMPLETE_TM:
+    if kind in (LiftKind.COMPLETE_TM, LiftKind.HORIZONTAL_TM):
+        # g^H = g^C: the Levi-Civita connection has nabla g = 0
         for i in range(m):
             for j in range(i, m):
                 entries[i][j] = _sum(
@@ -365,24 +368,8 @@ def lift_to_chart(
                 )
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
-    elif kind is LiftKind.HORIZONTAL_TM:
-        gamma, _, _ = _symbolic_christoffels(g)
-        A = [
-            [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
-            for k in range(m)
-        ]
-        for i in range(m):
-            for j in range(i, m):
-                entries[i][j] = _sum(
-                    ex.add(
-                        ex.mul(comp[i][k], A[k][j]), ex.mul(comp[j][k], A[k][i])
-                    )
-                    for k in range(m)
-                )
-            for j in range(m):
-                entries[i][m + j] = comp[i][j]
     elif kind is LiftKind.SASAKI_TM:
-        gamma, _, _ = _symbolic_christoffels(g)
+        gamma, _ = _symbolic_christoffels(g)
         A = [
             [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
             for k in range(m)
@@ -401,7 +388,7 @@ def lift_to_chart(
                     ex.mul(A[k][i], comp[k][j]) for k in range(m)
                 )
     elif kind is LiftKind.SASAKI_CTM:
-        gamma, _, ginv = _symbolic_christoffels(g)
+        gamma, ginv = _symbolic_christoffels(g)
         B = [[None] * m for _ in range(m)]
         for k in range(m):
             for i in range(k, m):
@@ -430,7 +417,7 @@ def lift_to_chart(
         for j in range(i, 2 * m):
             total += ex.tree_size(entries[i][j], size_memo)
     if total > MAX_LIFT_TREE_SIZE:
-        raise RuntimeError(
+        raise LiftTooLarge(
             f"assembled lifted components have {total} printed nodes, "
             f"over the {MAX_LIFT_TREE_SIZE} cap; this chart is too large "
             "to lift symbolically"

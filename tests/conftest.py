@@ -10,7 +10,7 @@ from metriclift import (
     walker_metric,
 )
 from metriclift.harmonic import lattice_points
-from metriclift.metric import metric_at
+from metriclift.metric import ChartedMetric, metric_at
 
 # Harmonic pairs used by the lift-equivalence suites: 6 Egorov, 3 Goedel,
 # 3 Walker.  Every pair has identically vanishing identity-map tension.
@@ -57,6 +57,21 @@ NON_HARMONIC_PAIRS = [
 GALLERY_METRICS = [(name, g) for name, g, _ in HARMONIC_PAIRS] + [
     (f"{name}-hat", ghat) for name, _, ghat in HARMONIC_PAIRS
 ]
+
+
+def dense_metric(m: int) -> ChartedMetric:
+    """Diagonal ``m+2 + x_a x_a/4``, off-diagonal ``x_a x_b/4 + 0.1 sin(x_a + x_b)``."""
+    x = [f"x{a + 1}" for a in range(m)]
+    entries = [
+        [
+            f"{m + 2} + 0.25*{x[a]}*{x[a]}"
+            if a == b
+            else f"0.25*{x[min(a, b)]}*{x[max(a, b)]} + 0.1*sin({x[min(a, b)]} + {x[max(a, b)]})"
+            for b in range(m)
+        ]
+        for a in range(m)
+    ]
+    return ChartedMetric.from_strings(x, entries, [(-1.0, 1.0)] * m)
 
 
 def domain_points(g, count, seed=1234):

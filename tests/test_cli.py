@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metriclift import cli
+from conftest import dense_metric
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +233,21 @@ class TestLift:
             "complete-tm": 0,
             "sasaki-ctm": 1,
         }
+
+    def test_lift_over_tree_size_cap_exits_two(self, tmp_path, capsys):
+        # the dense m=4 Sasaki lift assembles 3.66M printed nodes, over the cap
+        g = dense_metric(4)
+        doc = {
+            "coordinates": list(g.coords),
+            "metric": g.component_sources(),
+            "domain": [list(iv) for iv in g.domain],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "sasaki-tm")
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "LiftTooLarge"
+        assert "too large to lift symbolically" in err["message"]
 
     def test_explicit_metric_with_hat(self, tmp_path, capsys):
         doc = {

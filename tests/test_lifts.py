@@ -17,7 +17,7 @@ from metriclift.lifts import (
     lifted_tension_at,
 )
 from metriclift.metric import ChartedMetric, christoffel_at, metric_at
-from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS
+from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric
 
 ALL_KINDS = list(LiftKind)
 FLAT2 = ChartedMetric.from_strings(
@@ -29,6 +29,20 @@ GODEL = godel_metric(GodelSpec("x2", "cosh(x2)"))
 
 def _some_fiber_points(g, n=6, seed=99):
     return fiber_lattice(g, n, seed)
+
+
+# Every kind on the Egorov and Goedel bases, plus a dense m=5 base for the
+# horizontal and complete lifts (its Sasaki charts are over the tree-size
+# cap): there the adapted-frame horizontal blocks check the complete-lift
+# assembly that emits both charts.
+FRAME_CASES = [
+    pytest.param(g, kind, id=f"g{i}-{kind}")
+    for i, g in enumerate([EGOROV3, GODEL])
+    for kind in ALL_KINDS
+] + [
+    pytest.param(dense_metric(5), kind, id=f"dense-m5-{kind.value}")
+    for kind in (LiftKind.HORIZONTAL_TM, LiftKind.COMPLETE_TM)
+]
 
 
 class TestLiftBlocks:
@@ -153,23 +167,22 @@ class TestLiftedTension:
                 assert np.abs(t.fiber - 2.0 * tau).max() < 1e-10, name
 
     def test_horizontal_own_inverse_doubles(self):
+        # the standard condition contracts against diag(g^-1, g^-1); the
+        # horizontal metric's own inverse gives twice the value
         _, g, ghat = NON_HARMONIC_PAIRS[0]
+        kind = LiftKind.HORIZONTAL_TM
         for q in _some_fiber_points(g, n=3):
-            printed = lifted_tension_at(g, ghat, LiftKind.HORIZONTAL_TM, q)
-            own = lifted_tension_at(
-                g, ghat, LiftKind.HORIZONTAL_TM, q,
-                horizontal_contraction="own-inverse",
+            printed = lifted_tension_at(g, ghat, kind, q)
+            blocks, hat = lift_blocks_at(g, kind, q), lift_blocks_at(ghat, kind, q)
+            own_base = np.einsum(
+                "ab,kba->k", blocks.inverse, hat.gamma_base - blocks.gamma_base
             )
-            assert np.allclose(own.base, 2.0 * printed.base, atol=1e-14)
-            assert np.allclose(own.fiber, 2.0 * printed.fiber, atol=1e-14)
-
-    def test_bad_contraction_name(self):
-        q = FiberPoint([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="horizontal_contraction"):
-            lifted_tension_at(
-                EGOROV3, EGOROV3, LiftKind.HORIZONTAL_TM, q,
-                horizontal_contraction="nope",
+            own_fiber = np.einsum(
+                "ab,kba->k", blocks.inverse, hat.gamma_fiber - blocks.gamma_fiber
             )
+            assert np.abs(printed.base).max() > 1e-3
+            assert np.allclose(own_base, 2.0 * printed.base, atol=1e-14)
+            assert np.allclose(own_fiber, 2.0 * printed.fiber, atol=1e-14)
 
     def test_chart_mismatch_rejected(self):
         g4 = egorov_metric(EgorovSpec(4, "exp(x4)"))
@@ -199,9 +212,8 @@ class TestLiftToChart:
         pts = np.array([q.chart_point() for q in _some_fiber_points(EGOROV3, 5)])
         assert np.array_equal(metric_at(lifted, pts), metric_at(back, pts))
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    @pytest.mark.parametrize("g", [EGOROV3, GODEL])
-    def test_chart_metric_equals_frame_transformed_blocks(self, kind, g):
+    @pytest.mark.parametrize("g,kind", FRAME_CASES)
+    def test_chart_metric_equals_frame_transformed_blocks(self, g, kind):
         lifted = lift_to_chart(g, kind)
         for q in _some_fiber_points(g, n=5):
             blocks = lift_blocks_at(g, kind, q)
