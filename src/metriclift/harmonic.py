@@ -9,6 +9,21 @@ with G, Ghat the Christoffel symbols of the two metrics.  The pair is
 ordered: swapping the roles changes both the Christoffel difference and
 the contracting inverse, and no symmetry across the swap is assumed.
 
+The identity tension is computed contract-first, without forming either
+set of Christoffel symbols.  With C_{lij} = d_i g_jl + d_j g_il - d_l g_ij
+and Chat_{lij} the same over ghat's derivatives, both contracted with
+g's inverse,
+
+    c_l    = g^{ij} C_{lij}    = 2 g^{ij} d_i g_jl    - g^{ij} d_l g_ij ,
+    chat_l = g^{ij} Chat_{lij} = 2 g^{ij} d_i ghat_jl - g^{ij} d_l ghat_ij ,
+
+    tau = 1/2 (ghat^{-1} chat - g^{-1} c)
+        = 1/2 ghat^{-1} ((chat - c) - (ghat - g) g^{-1} c) ,
+
+which costs O(m^3) per point: one inverse of g and one linear solve
+against ghat with a single right-hand side.  The second form keeps the
+tension of a metric against itself exactly zero.
+
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
 verdict.  A sampled verdict never claims global harmonicity, hence the
@@ -26,6 +41,8 @@ from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
+    _check_nondegenerate,
+    _checked_inverse,
     _gamma_from_jets,
     metric_at,
     metric_jets_at,
@@ -34,6 +51,7 @@ from .metric import (
 __all__ = [
     "CoordinateMap",
     "HarmonicityReport",
+    "MAX_SAMPLES",
     "SamplingExhausted",
     "NonFiniteResidual",
     "tension_identity_at",
@@ -45,6 +63,11 @@ __all__ = [
 
 VERDICT_HARMONIC = "harmonic-on-samples"
 VERDICT_NOT = "not-harmonic"
+
+# Largest sample count a check accepts: ``lattice_points`` allocates
+# samples x d floats up front, so an unchecked count is an unbounded
+# allocation.
+MAX_SAMPLES = 65_536
 
 
 class SamplingExhausted(RuntimeError):
@@ -115,15 +138,35 @@ def _require_same_chart(g: ChartedMetric, ghat: ChartedMetric):
         )
 
 
+def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """c_l = g^{ij} C_{lij} = 2 g^{ij} d_i g_jl - g^{ij} d_l g_ij, where
+    ``dG[..., i, j, k] = d_k g_ij`` may belong to another metric than
+    ``ginv``."""
+    return 2.0 * np.einsum("...ij,...jli->...l", ginv, dG) - np.einsum(
+        "...ij,...ijl->...l", ginv, dG
+    )
+
+
 def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     """Tension vector of the identity map (M, g) -> (M, ghat) at ``x``;
-    accepts a point ``(m,)`` or batch ``(N, m)``."""
+    accepts a point ``(m,)`` or batch ``(N, m)``.
+
+    Contract-first (see the module docstring):
+    tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
+    chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
+    inverse is never formed.  Raises :class:`MetricDegenerate` naming the
+    first point where either metric has |det| <= 1e-12.
+    """
     _require_same_chart(g, ghat)
     G, dG, _ = metric_jets_at(g, x, order=1)
     Gh, dGh, _ = metric_jets_at(ghat, x, order=1)
-    gamma, ginv, _ = _gamma_from_jets(G, dG, x)
-    gamma_hat, _, _ = _gamma_from_jets(Gh, dGh, x)
-    return np.einsum("...ij,...kij->...k", ginv, gamma_hat - gamma)
+    ginv = _checked_inverse(G, x)
+    _check_nondegenerate(Gh, x)
+    c = _contracted_christoffel(ginv, dG)
+    c_hat = _contracted_christoffel(ginv, dGh)
+    v = np.einsum("...kl,...l->...k", ginv, c)
+    rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
+    return 0.5 * np.linalg.solve(Gh, rhs[..., None])[..., 0]
 
 
 def tension_map_at(
@@ -247,6 +290,8 @@ def _sampled_report(
     absolute residual (first sample on ties) and the per-component maxima."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _require_same_chart(g, ghat)

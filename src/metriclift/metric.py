@@ -207,7 +207,9 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     return G, dG, d2G
 
 
-def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
+def _check_nondegenerate(G: np.ndarray, x) -> None:
+    """Raise :class:`MetricDegenerate` at the first point of ``x`` where
+    |det G| <= 1e-12."""
     det = np.linalg.det(G)
     bad = np.abs(det) <= DEGENERACY_EPS
     if np.any(bad):
@@ -217,6 +219,10 @@ def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
             flat_pts = pt.reshape(-1, pt.shape[-1])
             raise MetricDegenerate(flat_pts[idx], np.asarray(det).ravel()[idx])
         raise MetricDegenerate(pt, float(det))
+
+
+def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
+    _check_nondegenerate(G, x)
     return np.linalg.inv(G)
 
 

@@ -59,14 +59,15 @@ GALLERY_METRICS = [(name, g) for name, g, _ in HARMONIC_PAIRS] + [
 ]
 
 
-def dense_metric(m: int) -> ChartedMetric:
-    """Diagonal ``m+2 + x_a x_a/4``, off-diagonal ``x_a x_b/4 + 0.1 sin(x_a + x_b)``."""
+def dense_metric(m: int, quad: float = 0.25, amp: float = 0.1) -> ChartedMetric:
+    """Diagonal ``m+2 + quad x_a x_a``, off-diagonal
+    ``quad x_a x_b + amp sin(x_a + x_b)``."""
     x = [f"x{a + 1}" for a in range(m)]
     entries = [
         [
-            f"{m + 2} + 0.25*{x[a]}*{x[a]}"
+            f"{m + 2} + {quad}*{x[a]}*{x[a]}"
             if a == b
-            else f"0.25*{x[min(a, b)]}*{x[max(a, b)]} + 0.1*sin({x[min(a, b)]} + {x[max(a, b)]})"
+            else f"{quad}*{x[min(a, b)]}*{x[max(a, b)]} + {amp}*sin({x[min(a, b)]} + {x[max(a, b)]})"
             for b in range(m)
         ]
         for a in range(m)

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metriclift import cli
+import metriclift
+from metriclift import cli, harmonic
 from conftest import dense_metric
 
 
@@ -169,6 +172,20 @@ class TestCheck:
         assert code == 2
         assert strict_json(out)["error"]["kind"] == "OverflowError"
 
+    @pytest.mark.parametrize("lift", ["none", "complete-tm"])
+    def test_sample_count_over_cap_exits_two(self, tmp_path, capsys, monkeypatch, lift):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice_points reached")
+
+        monkeypatch.setattr(harmonic, "lattice_points", no_lattice)
+        path = write_manifest(tmp_path, "m.json", egorov_manifest(lift=lift))
+        code, out = run_cli(capsys, "check", "--manifest", path,
+                            "--samples", str(harmonic.MAX_SAMPLES + 1))
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ValueError"
+        assert f"at most {harmonic.MAX_SAMPLES}" in err["message"]
+
     def test_deeply_nested_entry_exits_two(self, tmp_path, capsys):
         # a left-leaning sum 3000 levels deep is over the recursion limit
         deep = " + ".join(f"{k}*x1" for k in range(1, 3001))
@@ -326,7 +343,12 @@ class TestDeterminism:
     def test_console_entry_point_byte_identical(self, tmp_path):
         path = write_manifest(tmp_path, "m.json", egorov_manifest())
         cmd = [sys.executable, "-m", "metriclift.cli", "check", "--manifest", path]
-        a = subprocess.run(cmd, capture_output=True, text=True)
-        b = subprocess.run(cmd, capture_output=True, text=True)
+        # the child imports the package the tests run against, also when
+        # only pytest's own ``pythonpath`` setting put it on sys.path
+        src = str(Path(metriclift.__file__).resolve().parents[1])
+        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        b = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout

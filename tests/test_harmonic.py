@@ -9,7 +9,9 @@ from metriclift import (
     egorov_residual_closed_form,
     godel_metric,
 )
+from metriclift import harmonic
 from metriclift.harmonic import (
+    MAX_SAMPLES,
     SamplingExhausted,
     check_harmonic,
     lattice_points,
@@ -18,14 +20,20 @@ from metriclift.harmonic import (
     tension_map_at,
 )
 from metriclift.lifts import LiftKind, check_lift_conditions
-from metriclift.metric import ChartedMetric, christoffel_at, inverse_metric_at
-from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, domain_points
+from metriclift.metric import (
+    ChartedMetric,
+    MetricDegenerate,
+    christoffel_at,
+    inverse_metric_at,
+)
+from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, domain_points
 
 
 class TestTensionIdentity:
     def test_same_metric_is_exactly_zero(self):
-        for _, g in [(n, a) for n, a, _ in HARMONIC_PAIRS[:4]]:
-            x = domain_points(g, 10)
+        metrics = [g for _, g, _ in HARMONIC_PAIRS[:4]] + [dense_metric(m) for m in (3, 5, 7)]
+        for g in metrics:
+            x = domain_points(g, 64)
             tau = tension_identity_at(g, g, x)
             assert np.array_equal(tau, np.zeros_like(tau))
 
@@ -74,17 +82,54 @@ class TestTensionIdentity:
             tension_identity_at(g3, g4, [0, 0, 0])
 
 
+# ghat = diag(x1^2, 1) has |det| = 1e-14 <= 1e-12 at x1 = 1e-7; g is flat
+FLAT2 = ChartedMetric.from_strings(["x1", "x2"], [["1", "0"], ["0", "1"]],
+                                   [(-1, 1), (-1, 1)])
+PINCHED2 = ChartedMetric.from_strings(["x1", "x2"], [["x1^2", "0"], ["0", "1"]],
+                                      [(-1, 1), (-1, 1)])
+
+
+class TestTensionDegenerate:
+    @pytest.mark.parametrize("g, ghat", [(FLAT2, PINCHED2), (PINCHED2, FLAT2)],
+                             ids=["hat-degenerate", "source-degenerate"])
+    def test_names_first_bad_point(self, g, ghat):
+        single = np.array([1e-7, 0.5])
+        batch = np.array([[0.5, 0.5], [-1e-7, 0.25], [1e-8, -0.75], [0.3, 0.1]])
+        for x, bad, text in [(single, single, "(1e-07, 0.5)"),
+                             (batch, batch[1], "(-1e-07, 0.25)")]:
+            with pytest.raises(MetricDegenerate) as exc:
+                tension_identity_at(g, ghat, x)
+            assert np.array_equal(exc.value.point, bad)
+            assert exc.value.det == pytest.approx(1e-14)
+            assert text in str(exc.value)
+
+
 FLAT1 = ChartedMetric.from_strings(["x1"], [["1"]], [(-2, 2)])
 
 
+# Every fixture pair, plus dense metrics against a non-homothetic
+# perturbation (other quadratic and sine coefficients).
+ORACLE_PAIRS = [
+    pytest.param(g, ghat, id=name) for name, g, ghat in HARMONIC_PAIRS + NON_HARMONIC_PAIRS
+] + [
+    pytest.param(dense_metric(m), dense_metric(m, quad=0.3, amp=0.05), id=f"dense-m{m}")
+    for m in (3, 5, 7)
+]
+ORACLE_RTOL = 1e-12
+
+
 class TestTensionMap:
-    def test_identity_map_collapses(self):
-        g, ghat = HARMONIC_PAIRS[0][1], NON_HARMONIC_PAIRS[0][1]
+    @pytest.mark.parametrize("g, ghat", ORACLE_PAIRS)
+    def test_identity_map_collapses(self, g, ghat):
+        # the Christoffel route (general-map tension of the identity) is
+        # an independent oracle for the contract-first identity kernel
         phi = CoordinateMap.from_strings(g.coords, g.coords, list(g.coords))
-        for x in domain_points(g, 8):
-            a = tension_map_at(phi, g, ghat, x)
-            b = tension_identity_at(g, ghat, x)
-            assert np.abs(a - b).max() < 1e-12
+        x = domain_points(g, 32)
+        want = tension_map_at(phi, g, ghat, x)
+        got = tension_identity_at(g, ghat, x)
+        assert got.shape == want.shape == x.shape
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= ORACLE_RTOL * scale
 
     def test_constant_map_vanishes(self):
         g = egorov_metric(EgorovSpec(3, "exp(x3)"))
@@ -159,6 +204,27 @@ class TestCheckHarmonic:
             check_harmonic(g, g, samples=0)
         with pytest.raises(ValueError):
             check_harmonic(g, g, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda g, n: check_harmonic(g, g, samples=n),
+            lambda g, n: check_lift_conditions(g, g, LiftKind.SASAKI_TM, samples=n),
+        ],
+        ids=["check", "check-lift"],
+    )
+    def test_sample_cap_rejected_before_sampling(self, monkeypatch, check):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice_points reached")
+
+        monkeypatch.setattr(harmonic, "lattice_points", no_lattice)
+        g = egorov_metric(EgorovSpec(3, "exp(x3)"))
+        for n in (MAX_SAMPLES + 1, 10**15):
+            with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+                check(g, n)
+        # the cap itself is accepted: sampling starts
+        with pytest.raises(AssertionError, match="lattice_points reached"):
+            check(g, MAX_SAMPLES)
 
     def test_degenerate_points_resampled(self):
         # det = x1^2 dips below 1e-12 only for |x1| <= 1e-6

@@ -223,14 +223,6 @@ class TestLiftToChart:
             got = metric_at(lifted, q.chart_point())
             assert np.abs(got - want).max() < 1e-12
 
-    def test_horizontal_and_complete_charts_coincide(self):
-        # metric compatibility makes the two coordinate matrices equal
-        for g in (EGOROV3, GODEL):
-            lh = lift_to_chart(g, LiftKind.HORIZONTAL_TM)
-            lc = lift_to_chart(g, LiftKind.COMPLETE_TM)
-            pts = np.array([q.chart_point() for q in _some_fiber_points(g, 8)])
-            assert np.abs(metric_at(lh, pts) - metric_at(lc, pts)).max() < 1e-12
-
     def test_fiber_names_fall_back_when_not_numbered(self):
         g = ChartedMetric.from_strings(
             ["t", "r"], [["1", "0"], ["0", "r^2+1"]], [(-1, 1), (0.5, 1.5)]
