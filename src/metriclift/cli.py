@@ -35,6 +35,7 @@ from .gallery import (
     EgorovSpec,
     GodelSpec,
     WalkerSpec,
+    coordinate_names,
     egorov_metric,
     godel_metric,
     walker_metric,
@@ -128,19 +129,21 @@ def _explicit_metric(manifest: dict, key: str) -> ChartedMetric:
     entries = manifest[key]
     dim = manifest.get("dimension")
     coords = manifest.get("coordinates")
+    if coords is None and dim is None:
+        raise ManifestError("manifest needs 'dimension' or 'coordinates'")
+    # every size is checked against the matrix before coordinate names
+    # are built, so a huge 'dimension' allocates nothing
+    m = len(entries)
+    if dim is not None and int(dim) != m:
+        raise ManifestError(f"dimension {dim} does not match the {m}x{m} '{key}' matrix")
+    if coords is not None and len(coords) != m:
+        raise ManifestError(
+            f"{len(coords)} coordinates do not match the {m}x{m} '{key}' matrix"
+        )
+    if any(len(r) != m for r in entries):
+        raise ManifestError(f"'{key}' must be a {m}x{m} matrix of expression strings")
     if coords is None:
-        if dim is None:
-            raise ManifestError("manifest needs 'dimension' or 'coordinates'")
-        coords = [f"x{i + 1}" for i in range(int(dim))]
-    if dim is not None and len(coords) != int(dim):
-        raise ManifestError(
-            f"dimension {dim} does not match {len(coords)} coordinates"
-        )
-    m = len(coords)
-    if len(entries) != m or any(len(r) != m for r in entries):
-        raise ManifestError(
-            f"'{key}' must be a {m}x{m} matrix of expression strings"
-        )
+        coords = coordinate_names(m)
     domain = manifest.get("domain")
     if domain is None:
         domain = [(-1.0, 1.0)] * m
@@ -341,6 +344,7 @@ def main(argv=None) -> int:
         LiftTooLarge,
         ValueError,
         OverflowError,
+        TypeError,  # a manifest field of the wrong JSON type
     ) as err:
         return _error(type(err).__name__, str(err))
     except RecursionError as err:

@@ -45,9 +45,12 @@ __all__ = [
 ]
 
 _PROFILE_CHECK_SAMPLES = 257
+# Largest Egorov dimension accepted: the family builds m x m entry lists,
+# so an unchecked m from a manifest would allocate without bound.
+MAX_EGOROV_DIM = 64
 
 
-def _coords(m: int) -> tuple[str, ...]:
+def coordinate_names(m: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
 
 
@@ -67,6 +70,8 @@ class EgorovSpec:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError("Egorov family needs dimension m >= 3")
+        if self.m > MAX_EGOROV_DIM:
+            raise ValueError(f"Egorov family needs dimension m <= {MAX_EGOROV_DIM}")
         vals = _profile_values(self.f, f"x{self.m}", self.interval)
         if not np.all(vals > 0.0):
             raise ValueError(
@@ -85,7 +90,7 @@ class WalkerSpec:
         if len(self.box) != 4:
             raise ValueError("Walker box must give four intervals")
         for source in (self.a, self.b, self.c):
-            ex.parse_expression(source, _coords(4))
+            ex.parse_expression(source, coordinate_names(4))
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ class GodelSpec:
 
 def egorov_metric(spec: EgorovSpec) -> ChartedMetric:
     m = spec.m
-    coords = _coords(m)
+    coords = coordinate_names(m)
     f_ast = ex.parse_expression(spec.f, coords)
     zero, one = ex.const(0.0), ex.const(1.0)
     entries = [[zero] * m for _ in range(m)]
@@ -130,7 +135,7 @@ def egorov_residual_closed_form(spec: EgorovSpec, fhat: str, x) -> float:
 
 
 def walker_metric(spec: WalkerSpec) -> ChartedMetric:
-    coords = _coords(4)
+    coords = coordinate_names(4)
     a = ex.parse_expression(spec.a, coords)
     b = ex.parse_expression(spec.b, coords)
     c = ex.parse_expression(spec.c, coords)
@@ -145,7 +150,7 @@ def walker_metric(spec: WalkerSpec) -> ChartedMetric:
 
 
 def godel_metric(spec: GodelSpec) -> ChartedMetric:
-    coords = _coords(4)
+    coords = coordinate_names(4)
     H = ex.parse_expression(spec.H, coords)
     P = ex.parse_expression(spec.P, coords)
     zero, one = ex.const(0.0), ex.const(1.0)

@@ -253,8 +253,10 @@ def christoffel_at(g: ChartedMetric, x) -> ChristoffelSet:
 def _connection_from_jets(G, dG, d2G, x):
     """``(gamma, dgamma, ginv)`` from second jets of the components."""
     gamma, ginv, C = _gamma_from_jets(G, dG, x)
-    # d_p g^{kl} = -g^{ka} (d_p g_ab) g^{bl}
-    dginv = -np.einsum("...ka,...abp,...bl->...klp", ginv, dG, ginv)
+    # d_p g^{kl} = -g^{ka} (d_p g_ab) g^{bl}, contracted over a, then b:
+    # two O(m^4) steps per point instead of one O(m^5) loop
+    dginv = np.einsum("...ka,...abp->...kbp", ginv, dG)
+    dginv = -np.einsum("...kbp,...bl->...klp", dginv, ginv)
     dC = (
         np.einsum("...jlip->...lijp", d2G)
         + np.einsum("...iljp->...lijp", d2G)

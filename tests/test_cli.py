@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metriclift
-from metriclift import cli, harmonic
+from metriclift import cli, gallery, harmonic
 from conftest import dense_metric
 
 
@@ -186,6 +191,39 @@ class TestCheck:
         assert err["kind"] == "ValueError"
         assert f"at most {harmonic.MAX_SAMPLES}" in err["message"]
 
+    def test_huge_explicit_dimension_exits_two_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_names(m):
+            raise AssertionError("coordinate names built")
+
+        monkeypatch.setattr(cli, "coordinate_names", no_names)
+        doc = {"dimension": 10**12, "metric": [["1"]], "hat_metric": [["1"]]}
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert "does not match the 1x1 'metric' matrix" in err["message"]
+
+    def test_huge_egorov_dimension_exits_two_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("Egorov metric built")
+
+        monkeypatch.setattr(cli, "egorov_metric", no_build)
+        monkeypatch.setattr(gallery, "coordinate_names", no_build)
+        m = 10**12
+        doc = egorov_manifest(dimension=m)
+        doc["family"] = doc["hat_family"] = {"name": "egorov", "m": m, "f": f"exp(x{m})"}
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert f"m <= {gallery.MAX_EGOROV_DIM}" in err["message"]
+
     def test_deeply_nested_entry_exits_two(self, tmp_path, capsys):
         # a left-leaning sum 3000 levels deep is over the recursion limit
         deep = " + ".join(f"{k}*x1" for k in range(1, 3001))
@@ -352,3 +390,85 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
+
+
+# Bounded random manifests for the CLI outcome property: m <= 4, at most 64
+# samples, every lift kind and a bogus one.  Most manifests are well formed;
+# the rest carry bad tokens, overflowing expressions, non-finite JSON numbers
+# or fields of the wrong JSON type.  Sizes stay small: the huge ones have
+# their own tests, which stop any allocation.
+_BAD_ENTRIES = ["x1 +* 2", "@", "foo(x1)", "x9", "", ")", "1e999", "exp(1000*x1)",
+                "log(x1 - 5)", "1/x1", "nan", "inf", float("inf"), float("nan"), 7, None]
+_BAD_NUMBERS = [-3, 0, float("inf"), float("nan"), -float("inf"), "8", [8], None, 1e400]
+
+
+@st.composite
+def _manifests(draw):
+    m = draw(st.integers(1, 4))
+    coords = [f"x{i + 1}" for i in range(m)]
+    last = coords[-1]
+
+    def sometimes_bad(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 15)) == 0 else good))
+
+    def matrix():
+        diag = ["3 + x1^2", "2", f"{m + 2} + 0.25*{last}^2", "-1", "exp(x1)"]
+        off = ["0", f"0.25*x1*{last}", f"0.1*sin(x1 + {last})", "0.5"]
+        upper = [
+            [sometimes_bad(diag if i == j else off, _BAD_ENTRIES) for j in range(m)]
+            for i in range(m)
+        ]
+        return [[upper[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
+
+    doc = {"metric": matrix(), "hat_metric": matrix()}
+    if draw(st.booleans()):
+        doc["dimension"] = sometimes_bad([m], [m + 1, "m"])
+    else:
+        doc["coordinates"] = sometimes_bad([coords], [coords[:-1], "x", [1] * m])
+    if draw(st.booleans()):
+        ends = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        doc["domain"] = [
+            sorted([sometimes_bad(ends, _BAD_NUMBERS), sometimes_bad(ends, _BAD_NUMBERS)],
+                   key=str)
+            for _ in range(sometimes_bad([m], [m - 1, m + 1]))
+        ]
+    for key, good in (
+        ("samples", [1, 2, 8, 64]),
+        ("tol", [1e-9, 1e-3]),
+        ("seed", [0, 7, 2**31]),
+        ("lift", list(cli.LIFT_NAMES)),
+    ):
+        if draw(st.booleans()):
+            doc[key] = sometimes_bad(good, _BAD_NUMBERS + ["bogus"])
+    if m == 3 and draw(st.booleans()):
+        # the family spelling, with a possibly bad profile or dimension
+        del doc["metric"], doc["hat_metric"]
+        for key in ("family", "hat_family"):
+            doc[key] = {
+                "name": "egorov",
+                "m": sometimes_bad([3], [2, 4.5, "3"]),
+                "f": sometimes_bad(["exp(x3)", "2*exp(x3)", "x3^2 + 1"], ["x3", "@"]),
+            }
+    # a point for 'tensors --at'
+    at = [sometimes_bad(["0.1", "-0.5", "0.3"], ["nan", "1e400", "x", ""]) for _ in coords]
+    return doc, ",".join(at[: sometimes_bad([m], [m - 1, m + 1])])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_manifests(), st.sampled_from(["check", "check", "lift", "tensors"]))
+def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command):
+    doc, at = case
+    if command == "lift" and len(doc.get("metric", ())) > 2:
+        command = "check"  # printed Sasaki trees of dense m >= 3 charts are large
+    path = tmp_path_factory.mktemp("manifest") / "m.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--manifest", str(path)]
+    if command == "tensors":
+        argv.append(f"--at={at}")  # "--at -0.5,..." would read as an option
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), np.errstate(all="ignore"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    strict_json(out.getvalue())

@@ -357,3 +357,50 @@ def test_reparse_evaluates_bit_identically(e, point):
         lambda: ex.evaluate(e, list(point))
     )
     assert _outcome(lambda: eval_jet2(back, point)) == _outcome(lambda: eval_jet2(e, point))
+
+
+# Trees for the jet/finite-difference property: the node kinds above, with
+# constants in [-3, 3] so that a central difference has digits to compare,
+# and symbols drawn more often than constants so most trees vary.
+_FD_LEAVES = st.integers(0, 3).flatmap(
+    lambda k: st.floats(-3.0, 3.0).map(Num) if k == 0
+    else st.sampled_from([Sym(0, "x1"), Sym(1, "x2")])
+)
+_FD_TREES = st.recursive(
+    _FD_LEAVES,
+    _extend,
+    max_leaves=12,
+)
+FD_STEP = 1e-5
+# fixed before the run; relative to the largest value (gradient entry for
+# the Hessian) on the stencil, which bounds the rounding in the difference
+FD_RTOL = 1e-5
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_FD_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.4)]))
+def test_jets_match_central_differences_on_random_trees(e, point):
+    p = np.asarray(point)
+    shifts = [FD_STEP * np.eye(2)[k] for k in range(2)]
+    stencil = [p] + [p + s for s in shifts] + [p - s for s in shifts]
+    try:
+        with np.errstate(all="ignore"):
+            values = [eval_value(e, q) for q in stencil]
+            jets = [eval_jet2(e, q) for q in stencil]
+    except EvalDomainError:
+        return  # the tree leaves its domain near the point
+    grads = [j.grad for j in jets]
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+            and np.all(np.isfinite(jets[0].hess))):
+        return
+    value_scale = max(1.0, np.abs(values).max())
+    grad_scale = max(1.0, np.abs(grads).max())
+    for k in range(2):
+        fd_grad = (values[1 + k] - values[3 + k]) / (2 * FD_STEP)
+        assert abs(jets[0].grad[k] - fd_grad) <= FD_RTOL * max(value_scale, abs(fd_grad))
+        # Hessian rows against differences of the exact gradients, which
+        # avoids the noise of a second difference of values
+        fd_row = (grads[1 + k] - grads[3 + k]) / (2 * FD_STEP)
+        assert np.abs(jets[0].hess[k] - fd_row).max() <= FD_RTOL * max(
+            grad_scale, np.abs(fd_row).max()
+        )

@@ -12,6 +12,7 @@ from metriclift import (
     walker_metric,
 )
 from metriclift.exprlang import eval_value, parse_expression
+from metriclift.gallery import MAX_EGOROV_DIM
 from metriclift.harmonic import check_harmonic, lattice_points, shared_domain, tension_identity_at
 from metriclift.metric import christoffel_at, metric_at
 from conftest import domain_points, fd_christoffel
@@ -46,6 +47,11 @@ class TestEgorov:
     def test_minimum_dimension(self):
         with pytest.raises(ValueError, match="m >= 3"):
             EgorovSpec(2, "exp(x2)")
+
+    def test_maximum_dimension(self):
+        assert EgorovSpec(MAX_EGOROV_DIM, f"exp(x{MAX_EGOROV_DIM})").m == MAX_EGOROV_DIM
+        with pytest.raises(ValueError, match=f"m <= {MAX_EGOROV_DIM}"):
+            EgorovSpec(MAX_EGOROV_DIM + 1, f"exp(x{MAX_EGOROV_DIM + 1})")
 
     def test_closed_form_shift_invariance(self):
         spec = EgorovSpec(4, "cosh(x4)")

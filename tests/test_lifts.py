@@ -25,6 +25,8 @@ FLAT2 = ChartedMetric.from_strings(
 )
 EGOROV3 = egorov_metric(EgorovSpec(3, "exp(x3)"))
 GODEL = godel_metric(GodelSpec("x2", "cosh(x2)"))
+# a base whose inverse metric is full, unlike the Egorov and Goedel ones
+DENSE3 = dense_metric(3)
 
 
 def _some_fiber_points(g, n=6, seed=99):
@@ -271,7 +273,7 @@ class TestFrameChangeOracle:
             assert np.abs(gam[m:] - blocks.gamma_fiber).max() < 1e-10
 
     @pytest.mark.parametrize("kind", [LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM])
-    @pytest.mark.parametrize("g", [EGOROV3, GODEL])
+    @pytest.mark.parametrize("g", [EGOROV3, GODEL, DENSE3])
     def test_sasaki_blocks_match_except_presentation_corner(self, kind, g):
         # every block of both families agrees with the frame-changed
         # generic Christoffels except the fiber-family (2,1) corner,

@@ -5,13 +5,14 @@ from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
 from metriclift.metric import (
     ChartedMetric,
     MetricDegenerate,
+    christoffel_and_derivative_at,
     christoffel_at,
     curvature_at,
     inverse_metric_at,
     metric_at,
     metric_jets_at,
 )
-from conftest import GALLERY_METRICS, domain_points, fd_christoffel
+from conftest import GALLERY_METRICS, dense_metric, domain_points, fd_christoffel
 
 FLAT2 = ChartedMetric.from_strings(
     ["x1", "x2"], [["1", "0"], ["0", "1"]], [(-1, 1), (-1, 1)]
@@ -125,8 +126,14 @@ class TestCurvature:
             )
             assert np.abs(cyc).max() < 1e-10
 
-    def test_egorov_matches_fd_of_christoffels(self):
-        g = egorov_metric(EgorovSpec(3, "exp(x3)"))
+    # the dense base has a full inverse metric, which reaches every term
+    # of d_p g^{kl} in the connection derivative
+    @pytest.mark.parametrize(
+        "g",
+        [egorov_metric(EgorovSpec(3, "exp(x3)")), dense_metric(5)],
+        ids=["egorov-m3", "dense-m5"],
+    )
+    def test_matches_fd_of_christoffels(self, g):
         h = 1e-5
         for x in domain_points(g, 4):
             m = g.dim
@@ -137,7 +144,8 @@ class TestCurvature:
                 dgam[..., p] = (
                     christoffel_at(g, x + e).array - christoffel_at(g, x - e).array
                 ) / (2 * h)
-            gam = christoffel_at(g, x).array
+            gam, exact = christoffel_and_derivative_at(g, x)
+            assert np.abs(exact - dgam).max() <= 1e-6 * max(1.0, np.abs(dgam).max())
             P = np.einsum("kjhi->kijh", dgam)
             Q = np.einsum("kil,ljh->kijh", gam, gam)
             fd = (P - np.swapaxes(P, 1, 2)) + (Q - np.swapaxes(Q, 1, 2))
