@@ -10,13 +10,19 @@ sorted keys so identical inputs produce byte-identical output.
     metriclift tensors --manifest m.json --at "v1,v2,..."
 
 Exit codes for ``check``: 0 harmonic-on-samples, 1 not-harmonic, 2 input
-error.  With ``--lift KIND`` (or a ``lift`` field in the manifest),
-``check`` evaluates the lifted-harmonicity trace conditions of that kind
-over sampled bundle points (report field ``method: lift-blocks``); a
-plain check of an explicit 2m-dimensional manifest emitted by ``lift``
-runs the generic identity-map tension instead (``method:
-identity-tension``).  The two can disagree for the Sasaki-type lifts;
-see the README.
+error, command-line syntax errors included.  With ``--lift KIND`` (or a
+``lift`` field in the manifest), ``check`` evaluates the
+lifted-harmonicity trace conditions of that kind over sampled bundle
+points (report field ``method: lift-blocks``); a plain check of an
+explicit 2m-dimensional manifest emitted by ``lift`` runs the generic
+identity-map tension instead (``method: identity-tension``).  The two
+can disagree for the Sasaki-type lifts; see the README.
+
+An explicit manifest may carry ``"definitions": [["name", "expr"], ...]``:
+each expression is over the coordinates and the names defined before it,
+and ``metric`` / ``hat_metric`` entries may use every name.  ``lift``
+always prints its manifest that way, one definition per shared node of
+the two lifted charts.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .exprlang import ExprError, ExprSyntaxError
+from .exprlang import ExprError, ExprSyntaxError, parse_definitions
 from .gallery import (
     EgorovSpec,
     GodelSpec,
@@ -41,7 +47,7 @@ from .gallery import (
     walker_metric,
 )
 from .harmonic import SamplingExhausted, check_harmonic
-from .lifts import LiftKind, LiftTooLarge, check_lift_conditions, lift_to_chart
+from .lifts import LiftKind, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
     MetricDegenerate,
@@ -49,6 +55,7 @@ from .metric import (
     curvature_at,
     inverse_metric_at,
     metric_at,
+    shared_component_sources,
 )
 
 __all__ = ["main", "ManifestError", "load_manifest", "build_metrics"]
@@ -59,6 +66,15 @@ DEFAULTS = {"samples": 64, "tol": 1e-9, "seed": 42, "lift": "none"}
 
 class ManifestError(ValueError):
     pass
+
+
+class UsageError(Exception):
+    """A command-line syntax error, reported like every other input error."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _dump(doc: dict) -> str:
@@ -91,13 +107,64 @@ def manifest_sha256(manifest: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _integer(value, field: str) -> int:
+    """A count or seed from the manifest: a JSON integer, or a number with
+    an integral value.  Booleans, strings and fractions are errors."""
+    # int() raises OverflowError for an infinity and ValueError for NaN
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and int(value) == value:
+        return int(value)
+    raise ManifestError(f"'{field}' must be an integer, got {json.dumps(value)}")
+
+
+class _Expressions:
+    """The ``definitions`` of a manifest, parsed over the chart its first
+    explicit matrix declares, and the hash-cons table they live in.  Both
+    matrices parse into that table, so a name is the very node of its
+    expanded text; without definitions each matrix parses on its own."""
+
+    def __init__(self, manifest: dict):
+        raw = manifest.get("definitions", [])
+        if not isinstance(raw, list):
+            raise ManifestError("'definitions' must be a list of [name, expression] pairs")
+        for k, item in enumerate(raw, 1):
+            if not (isinstance(item, list) and len(item) == 2):
+                raise ManifestError(
+                    f"definition {k} must be a [name, expression] pair, "
+                    f"got {json.dumps(item)[:60]}"
+                )
+            name, source = item
+            if not isinstance(name, str):
+                raise ManifestError(
+                    f"definition {k} must be named by a string, got {json.dumps(name)[:60]}"
+                )
+            if not isinstance(source, str):
+                raise ManifestError(f"definition '{name}' must be an expression string")
+        self.definitions = raw
+        self.table = {} if raw else None
+        self.coords = None
+        self.names: dict = {}
+
+    def names_over(self, coords: tuple) -> dict:
+        if not self.definitions:
+            return self.names
+        if self.coords is None:
+            self.coords = coords
+            try:
+                self.names = parse_definitions(self.definitions, coords, self.table)
+            except ExprError as err:
+                raise ManifestError(f"in 'definitions': {err}") from None
+        elif coords != self.coords:
+            raise ManifestError("metric and hat metric must share the chart")
+        return self.names
+
+
 def _family_metric(fam: dict, dimension: int | None) -> ChartedMetric:
     if not isinstance(fam, dict) or "name" not in fam:
         raise ManifestError("family must be an object with a 'name' field")
     name = fam["name"]
     try:
         if name == "egorov":
-            m = int(fam.get("m", dimension or 0))
+            m = _integer(fam.get("m", dimension or 0), "m")
             if m < 3:
                 raise ManifestError("egorov family needs 'm' >= 3")
             interval = tuple(fam.get("interval", (-1.0, 1.0)))
@@ -125,7 +192,7 @@ def _family_metric(fam: dict, dimension: int | None) -> ChartedMetric:
     raise ManifestError(f"unknown family name {name!r}")
 
 
-def _explicit_metric(manifest: dict, key: str) -> ChartedMetric:
+def _explicit_metric(manifest: dict, key: str, shared: _Expressions) -> ChartedMetric:
     entries = manifest[key]
     dim = manifest.get("dimension")
     coords = manifest.get("coordinates")
@@ -134,7 +201,7 @@ def _explicit_metric(manifest: dict, key: str) -> ChartedMetric:
     # every size is checked against the matrix before coordinate names
     # are built, so a huge 'dimension' allocates nothing
     m = len(entries)
-    if dim is not None and int(dim) != m:
+    if dim is not None and _integer(dim, "dimension") != m:
         raise ManifestError(f"dimension {dim} does not match the {m}x{m} '{key}' matrix")
     if coords is not None and len(coords) != m:
         raise ManifestError(
@@ -149,15 +216,16 @@ def _explicit_metric(manifest: dict, key: str) -> ChartedMetric:
         domain = [(-1.0, 1.0)] * m
     if len(domain) != m:
         raise ManifestError("'domain' must give one [lo, hi] per coordinate")
+    names = shared.names_over(tuple(coords))
     try:
-        return ChartedMetric.from_strings(coords, entries, domain)
+        return ChartedMetric.from_strings(coords, entries, domain, shared.table, names)
     except ExprSyntaxError as err:
         raise ManifestError(f"in manifest entry '{key}': {err}") from err
     except ValueError as err:
         raise ManifestError(f"invalid '{key}': {err}") from err
 
 
-def _one_metric(manifest: dict, key: str, fam_key: str, required: bool):
+def _one_metric(manifest: dict, key: str, fam_key: str, required: bool, shared):
     has_matrix = key in manifest
     has_family = fam_key in manifest
     if has_matrix and has_family:
@@ -169,7 +237,7 @@ def _one_metric(manifest: dict, key: str, fam_key: str, required: bool):
     if has_family:
         g = _family_metric(manifest[fam_key], manifest.get("dimension"))
         dim = manifest.get("dimension")
-        if dim is not None and g.dim != int(dim):
+        if dim is not None and g.dim != _integer(dim, "dimension"):
             raise ManifestError(
                 f"dimension {dim} does not match family dimension {g.dim}"
             )
@@ -181,14 +249,17 @@ def _one_metric(manifest: dict, key: str, fam_key: str, required: bool):
                 g, domain=tuple((float(lo), float(hi)) for lo, hi in domain)
             )
         return g
-    return _explicit_metric(manifest, key)
+    return _explicit_metric(manifest, key, shared)
 
 
 def build_metrics(manifest: dict, need_hat: bool):
-    g = _one_metric(manifest, "metric", "family", required=True)
-    ghat = _one_metric(manifest, "hat_metric", "hat_family", required=need_hat)
+    shared = _Expressions(manifest)
+    g = _one_metric(manifest, "metric", "family", True, shared)
+    ghat = _one_metric(manifest, "hat_metric", "hat_family", need_hat, shared)
     if ghat is not None and ghat.coords != g.coords:
         raise ManifestError("metric and hat metric must share the chart")
+    if shared.definitions and shared.coords is None:
+        raise ManifestError("'definitions' need an explicit 'metric' or 'hat_metric' matrix")
     return g, ghat
 
 
@@ -214,9 +285,9 @@ def _lift_kind(name: str) -> LiftKind | None:
 
 def cmd_check(manifest: dict, args) -> tuple[int, str]:
     g, ghat = build_metrics(manifest, need_hat=True)
-    samples = int(_merged(manifest, args, "samples"))
+    samples = _integer(_merged(manifest, args, "samples"), "samples")
     tol = float(_merged(manifest, args, "tol"))
-    seed = int(_merged(manifest, args, "seed"))
+    seed = _integer(_merged(manifest, args, "seed"), "seed")
     lift = _lift_kind(str(_merged(manifest, args, "lift")))
     if lift is None:
         report = check_harmonic(g, ghat, samples=samples, tol=tol, seed=seed)
@@ -238,16 +309,21 @@ def cmd_check(manifest: dict, args) -> tuple[int, str]:
 
 
 def _lifted_manifest(manifest: dict, g, ghat, kind: LiftKind) -> dict:
-    lifted = lift_to_chart(g, kind)
+    charts = [lift_to_chart(g, kind)]
+    if ghat is not None:
+        charts.append(lift_to_chart(ghat, kind))
+    definitions, matrices = shared_component_sources(charts)
+    lifted = charts[0]
     out = {
         "dimension": lifted.dim,
         "coordinates": list(lifted.coords),
-        "metric": lifted.component_sources(),
+        "definitions": definitions,
+        "metric": matrices[0],
         "domain": [[lo, hi] for lo, hi in lifted.domain],
         "lift": "none",
     }
     if ghat is not None:
-        out["hat_metric"] = lift_to_chart(ghat, kind).component_sources()
+        out["hat_metric"] = matrices[1]
     for key in ("samples", "tol", "seed"):
         if key in manifest:
             out[key] = manifest[key]
@@ -308,7 +384,7 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="metriclift",
         description="harmonicity checks and bundle lifts for charted metrics",
     )
@@ -332,16 +408,16 @@ def _error(kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         manifest = load_manifest(args.manifest)
         code, out = args.fn(manifest, args)
     except (
+        UsageError,
         ManifestError,
         ExprError,
         MetricDegenerate,
         SamplingExhausted,
-        LiftTooLarge,
         ValueError,
         OverflowError,
         TypeError,  # a manifest field of the wrong JSON type

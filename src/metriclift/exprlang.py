@@ -3,7 +3,10 @@
 Sources are parsed over a declared symbol list (coordinate and parameter
 names) into immutable trees; evaluation is pure.  Parsing is hash-consed:
 structurally identical subtrees come back as one shared node, so a
-printed DAG parses back into a DAG.  The same trees serve
+printed DAG parses back into a DAG.  Named definitions
+(:func:`parse_definitions`) let a source refer to a shared subexpression
+by name; :func:`to_shared_sources` prints a family of trees that way,
+each shared node once.  The same trees serve
 plain float evaluation, jet evaluation (exact first/second derivatives,
 see :mod:`metriclift.jets`) and symbolic assembly of derived expressions
 such as Christoffel symbols of lifted metrics.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Sequence, Union
+from typing import Collection, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +52,9 @@ __all__ = [
     "EvalDomainError",
     "FUNCTIONS",
     "parse_expression",
+    "parse_definitions",
     "to_source",
+    "to_shared_sources",
     "evaluate",
     "eval_value",
     "eval_jet2",
@@ -63,12 +68,19 @@ __all__ = [
     "power",
     "neg",
     "func",
-    "tree_size",
 ]
 
 FUNCTIONS = frozenset(
     {"sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log", "sqrt"}
 )
+# Longest expression text quoted in an error: a shared DAG can expand to
+# text exponentially longer than its node count.
+CULPRIT_CHARS = 200
+# Deepest nesting a definition may reach, counted through the definitions
+# it uses.  The tree walks recurse, up to two frames per level, so this
+# keeps them inside Python's default recursion limit of 1000; lifted
+# charts nest 77 levels deep at dense m=6.
+MAX_DEFINITION_DEPTH = 256
 
 
 class ExprError(ValueError):
@@ -84,10 +96,11 @@ class ExprSyntaxError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Evaluation left the real domain (or the float range) of some
-    subexpression."""
+    """Evaluation left the real domain (or the float range) of the
+    subexpression ``node``, quoted at most ``CULPRIT_CHARS`` long."""
 
-    def __init__(self, message: str, culprit: str):
+    def __init__(self, message: str, node: "ExprAst"):
+        culprit = to_source(node, limit=CULPRIT_CHARS)
         super().__init__(f"{message} in '{culprit}'")
         self.culprit = culprit
 
@@ -124,6 +137,14 @@ class Call:
 ExprAst = Union[Num, Sym, Neg, Binary, Call]
 
 
+def _children(e: ExprAst) -> tuple:
+    if isinstance(e, Binary):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    return ()
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -156,12 +177,13 @@ def _token_offset(source: str, pos: int) -> int:
 
 
 class _Parser:
-    def __init__(self, source: str, symbols: Sequence[str], table: dict):
+    def __init__(self, source: str, symbols: Sequence[str], table: dict, names: dict):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.symbols = {name: i for i, name in enumerate(symbols)}
         self.table = table
+        self.names = names
 
     def node(self, key: tuple, cls, *fields) -> ExprAst:
         # hash-consing: one node per key.  Children are interned first, so
@@ -248,13 +270,21 @@ class _Parser:
             self.expect(")")
             return self.node((Call, text, id(arg)), Call, text, arg)
         index = self.symbols.get(text)
-        if index is None:
+        if index is not None:
+            return self.node((Sym, index, text), Sym, index, text)
+        if text not in self.names:
             self.fail(f"unknown identifier '{text}'", pos)
-        return self.node((Sym, index, text), Sym, index, text)
+        node = self.names[text]
+        if node is None:
+            self.fail(f"'{text}' is used before its definition", pos)
+        return node
 
 
 def parse_expression(
-    source: str, symbols: Sequence[str], table: dict | None = None
+    source: str,
+    symbols: Sequence[str],
+    table: dict | None = None,
+    names: dict | None = None,
 ) -> ExprAst:
     """Parse ``source`` over the declared ``symbols`` (order fixes indices).
 
@@ -262,12 +292,76 @@ def parse_expression(
     identity-keyed memos of :func:`evaluate` and :func:`to_source` see
     each of them once.  ``table`` holds the nodes built so far; pass one
     dict when parsing a family of related sources over the same
-    ``symbols`` to share subtrees between them too."""
+    ``symbols`` to share subtrees between them too.  ``names`` maps
+    further identifiers to nodes of ``table`` (see
+    :func:`parse_definitions`); a name mapped to None is not defined yet."""
     if not symbols:
         raise ValueError("symbol list must be nonempty")
     if len(set(symbols)) != len(symbols):
         raise ValueError("symbol names must be distinct")
-    return _Parser(source, symbols, {} if table is None else table).parse()
+    return _Parser(
+        source, symbols, {} if table is None else table, {} if names is None else names
+    ).parse()
+
+
+_NAME_RE = re.compile(_NAME)
+
+
+def _depth(e: ExprAst, depths: dict) -> int:
+    """Nesting depth of ``e``; ``depths`` (by node identity) holds the
+    nodes measured so far, so a family costs its unique nodes once."""
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in depths:
+            stack.pop()
+            continue
+        kids = _children(node)
+        todo = [k for k in kids if id(k) not in depths]
+        if todo:
+            stack += todo
+            continue
+        depths[id(node)] = 1 + max((depths[id(k)] for k in kids), default=0)
+        stack.pop()
+    return depths[id(e)]
+
+
+def parse_definitions(
+    pairs: Sequence[tuple[str, str]], symbols: Sequence[str], table: dict
+) -> dict:
+    """Parse named definitions ``(name, source)``, in order, into ``table``.
+
+    Each source is over ``symbols`` and the names defined before it, and a
+    name stands for its definition's node: text that uses the names parses
+    to the very nodes of its expansion.  Returns the ``names`` mapping for
+    :func:`parse_expression`.  Every error message names the definition."""
+    names: dict = {}
+    for name, _ in pairs:
+        if not _NAME_RE.fullmatch(name):
+            raise ExprError(f"definition name {name!r} is not an identifier")
+        if name in symbols:
+            raise ExprError(f"definition '{name}' is named like a coordinate")
+        if name in FUNCTIONS:
+            raise ExprError(f"definition '{name}' is named like a function")
+        if name in names:
+            raise ExprError(f"definition '{name}' is given more than once")
+        names[name] = None
+    depths: dict = {}
+    for name, source in pairs:
+        try:
+            node = parse_expression(source, symbols, table, names)
+        except ExprSyntaxError as err:
+            raise ExprError(f"in definition '{name}': {err}") from None
+        except RecursionError:
+            raise ExprError(f"definition '{name}' is nested too deeply to parse") from None
+        depth = _depth(node, depths)
+        if depth > MAX_DEFINITION_DEPTH:
+            raise ExprError(
+                f"definition '{name}' nests {depth} levels deep, over the "
+                f"limit of {MAX_DEFINITION_DEPTH}"
+            )
+        names[name] = node
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +386,18 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
-def to_source(e: ExprAst, memo: dict | None = None) -> str:
-    """Render a tree back to parseable source text.  ``memo`` (by node
-    identity) renders each shared node once; pass one dict when printing
-    a family of related trees."""
-    if memo is None:
-        memo = {}
+def _renderer(memo: dict, limit: int | None = None, define=None):
+    """The printer behind :func:`to_source` and :func:`to_shared_sources`:
+    renders a node to ``(text, precedence)``, once per node identity.
+    ``define(node, text)`` may return a name to print the node as."""
+    keep = None if limit is None else limit + 1
 
     def wrap(child: ExprAst, minimum: int) -> str:
-        s = render(child)
-        return f"({s})" if _prec(child) < minimum else s
+        s, prec = render(child)
+        return f"({s})" if prec < minimum else s
 
-    def render(node: ExprAst) -> str:
-        key = id(node)
-        got = memo.get(key)
+    def render(node: ExprAst) -> tuple[str, int]:
+        got = memo.get(id(node))
         if got is not None:
             return got
         if isinstance(node, Num):
@@ -315,7 +407,7 @@ def to_source(e: ExprAst, memo: dict | None = None) -> str:
         elif isinstance(node, Neg):
             s = "-" + wrap(node.arg, _PREC_UNARY)
         elif isinstance(node, Call):
-            s = f"{node.fn}({render(node.arg)})"
+            s = f"{node.fn}({render(node.arg)[0]})"
         elif isinstance(node, Binary):
             if node.op in "+-":
                 s = f"{wrap(node.left, _PREC_ADD)} {node.op} {wrap(node.right, _PREC_ADD + 1)}"
@@ -326,10 +418,68 @@ def to_source(e: ExprAst, memo: dict | None = None) -> str:
                 s = f"{wrap(node.left, _PREC_ATOM)}^{wrap(node.right, _PREC_UNARY)}"
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = s
-        return s
+        if keep is not None:
+            # the first ``keep`` characters of a parent only ever need the
+            # first ``keep`` of each child
+            s = s[:keep]
+        name = None if define is None else define(node, s)
+        got = memo[id(node)] = (s, _prec(node)) if name is None else (name, _PREC_ATOM)
+        return got
 
-    return render(e)
+    return render
+
+
+def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) -> str:
+    """Render a tree back to parseable source text.  ``memo`` (by node
+    identity) renders each shared node once; pass one dict when printing a
+    family of related trees.  With ``limit``, text past ``limit``
+    characters is cut and marked with "...", and no node is rendered
+    longer than that, so the cost stays linear in the DAG however long
+    its expansion is."""
+    text = _renderer({} if memo is None else memo, limit)(e)[0]
+    if limit is not None and len(text) > limit:
+        text = text[:limit] + "..."
+    return text
+
+
+def to_shared_sources(
+    roots: Sequence[ExprAst], reserved: Collection[str]
+) -> tuple[list[list[str]], list[str]]:
+    """Print a family of trees with each shared node once.
+
+    Every non-leaf node referenced more than once (by parents or as a
+    root) becomes a definition ``[name, source]``, listed in post-order so
+    each uses only earlier names.  Returns ``(definitions, sources of
+    roots)``; :func:`parse_definitions` and :func:`parse_expression` read
+    them back into the nodes of the expanded text.  Names are ``t1, t2,
+    ...``, with the prefix lengthened until no name can equal one of
+    ``reserved`` or a function name."""
+    refs: dict = {}  # parent-child edges (and root slots) into each node
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in refs:
+            refs[key] += 1
+        else:
+            refs[key] = 1
+            stack += _children(node)
+    prefix = "t"
+    taken = set(reserved) | FUNCTIONS
+    while any(re.fullmatch(prefix + r"\d+", name) for name in taken):
+        prefix += "_"
+    definitions: list = []
+
+    def define(node: ExprAst, text: str) -> str | None:
+        if refs[id(node)] == 1 or isinstance(node, (Num, Sym)):
+            return None
+        name = f"{prefix}{len(definitions) + 1}"
+        definitions.append([name, text])
+        return name
+
+    render = _renderer({}, define=define)
+    sources = [render(r)[0] for r in roots]
+    return definitions, sources
 
 
 # ---------------------------------------------------------------------------
@@ -418,26 +568,6 @@ def func(fn: str, arg: ExprAst) -> ExprAst:
     return Call(fn, arg)
 
 
-def tree_size(e: ExprAst, _memo=None) -> int:
-    """Printed-tree size (number of nodes after expansion of shared
-    subtrees); linear in the number of unique nodes."""
-    memo = {} if _memo is None else _memo
-    key = id(e)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if isinstance(e, (Num, Sym)):
-        n = 1
-    elif isinstance(e, Neg):
-        n = 1 + tree_size(e.arg, memo)
-    elif isinstance(e, Call):
-        n = 1 + tree_size(e.arg, memo)
-    else:
-        n = 1 + tree_size(e.left, memo) + tree_size(e.right, memo)
-    memo[key] = n
-    return n
-
-
 # ---------------------------------------------------------------------------
 # differentiation (symbolic; used only when assembling lifted charts)
 
@@ -454,34 +584,53 @@ _DERIV_BUILDERS = {
 }
 
 
-def differentiate(e: ExprAst, index: int) -> ExprAst:
-    """Exact partial derivative with respect to the symbol at ``index``."""
-    if isinstance(e, Num):
-        return Num(0.0)
-    if isinstance(e, Sym):
-        return Num(1.0 if e.index == index else 0.0)
-    if isinstance(e, Neg):
-        return neg(differentiate(e.arg, index))
-    if isinstance(e, Call):
-        return mul(_DERIV_BUILDERS[e.fn](e.arg), differentiate(e.arg, index))
-    if isinstance(e, Binary):
-        da, db = differentiate(e.left, index), differentiate(e.right, index)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        if e.op == "/":
-            return sub(div(da, e.right), div(mul(e.left, db), power(e.right, const(2.0))))
-        # a^b
-        ev = _constant_exponent(e.right)
-        if ev is not None:
-            # d(a^c) = c * a^(c-1) * a'
-            return mul(mul(const(ev), power(e.left, const(ev - 1.0))), da)
-        # d(a^b) = a^b * (b' log a + b a'/a)
-        return mul(e, add(mul(db, func("log", e.left)), div(mul(e.right, da), e.left)))
-    raise TypeError(f"not an expression node: {e!r}")
+def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
+    """Exact partial derivative with respect to the symbol at ``index``.
+    ``memo`` (by node identity and index) differentiates each shared node
+    once, so the cost is linear in the DAG; pass one dict when
+    differentiating a family of related trees."""
+    if memo is None:
+        memo = {}
+
+    def d(node: ExprAst) -> ExprAst:
+        key = (id(node), index)
+        got = memo.get(key)
+        if got is not None:
+            return got[1]
+        if isinstance(node, Num):
+            r = Num(0.0)
+        elif isinstance(node, Sym):
+            r = Num(1.0 if node.index == index else 0.0)
+        elif isinstance(node, Neg):
+            r = neg(d(node.arg))
+        elif isinstance(node, Call):
+            r = mul(_DERIV_BUILDERS[node.fn](node.arg), d(node.arg))
+        elif isinstance(node, Binary):
+            a, b = node.left, node.right
+            da, db = d(a), d(b)
+            if node.op == "+":
+                r = add(da, db)
+            elif node.op == "-":
+                r = sub(da, db)
+            elif node.op == "*":
+                r = add(mul(da, b), mul(a, db))
+            elif node.op == "/":
+                r = sub(div(da, b), div(mul(a, db), power(b, const(2.0))))
+            else:
+                ev = _constant_exponent(b)
+                if ev is not None:
+                    # d(a^c) = c * a^(c-1) * a'
+                    r = mul(mul(const(ev), power(a, const(ev - 1.0))), da)
+                else:
+                    # d(a^b) = a^b * (b' log a + b a'/a)
+                    r = mul(node, add(mul(db, func("log", a)), div(mul(b, da), a)))
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        # the node is kept with its derivative so its id stays taken
+        memo[key] = (node, r)
+        return r
+
+    return d(e)
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +658,18 @@ def _apply_fn(name: str, x, node: ExprAst):
         try:
             return getattr(x, name)()
         except JetDomainError as err:
-            raise EvalDomainError(str(err), to_source(node)) from err
+            raise EvalDomainError(str(err), node) from err
     v = np.asarray(x, dtype=float)
     if name == "log" and np.any(v <= 0.0):
-        raise EvalDomainError("log of non-positive value", to_source(node))
+        raise EvalDomainError("log of non-positive value", node)
     if name == "sqrt" and np.any(v < 0.0):
-        raise EvalDomainError("sqrt of negative value", to_source(node))
+        raise EvalDomainError("sqrt of negative value", node)
     scalar_fn, array_fn = _MATH_FNS[name]
     if isinstance(x, (int, float)):
         try:
             return scalar_fn(x)
         except OverflowError:
-            raise EvalDomainError(f"{name} overflows the float range", to_source(node)) from None
+            raise EvalDomainError(f"{name} overflows the float range", node) from None
     return array_fn(v)
 
 
@@ -530,7 +679,7 @@ def _int_power(base, n: int, node: ExprAst):
         return 1.0
     if n < 0:
         if np.any(np.asarray(_value_of(base)) == 0.0):
-            raise EvalDomainError("zero raised to a negative power", to_source(node))
+            raise EvalDomainError("zero raised to a negative power", node)
         return 1.0 / _int_power(base, -n, node)
     result = None
     square = base
@@ -545,9 +694,7 @@ def _int_power(base, n: int, node: ExprAst):
 def _general_power(base, expo, node: ExprAst):
     bval = np.asarray(_value_of(base))
     if np.any(bval <= 0.0):
-        raise EvalDomainError(
-            "non-integer power of a non-positive base", to_source(node)
-        )
+        raise EvalDomainError("non-integer power of a non-positive base", node)
     return _apply_fn("exp", expo * _apply_fn("log", base, node), node)
 
 
@@ -612,7 +759,7 @@ def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
                 else:
                     b = ev(node.right)
                     if np.any(np.asarray(_value_of(b)) == 0.0):
-                        raise EvalDomainError("division by zero", to_source(node))
+                        raise EvalDomainError("division by zero", node)
                     r = a / b
         memo[key] = r
         return r
@@ -620,7 +767,7 @@ def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
     try:
         return ev(expr)
     except JetDomainError as err:  # pragma: no cover - defensive
-        raise EvalDomainError(str(err), to_source(expr)) from err
+        raise EvalDomainError(str(err), expr) from err
 
 
 def eval_value(expr: ExprAst, point) -> float:

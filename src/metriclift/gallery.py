@@ -126,10 +126,11 @@ def egorov_residual_closed_form(spec: EgorovSpec, fhat: str, x) -> float:
     pt = np.asarray(x, dtype=float)
     t = pt[..., spec.m - 1]
     var = [f"x{spec.m}"]
-    jf = ex.evaluate(ex.parse_expression(spec.f, var), [Jet2.variable(t, 0, 1)])
+    f_ast = ex.parse_expression(spec.f, var)
+    jf = ex.evaluate(f_ast, [Jet2.variable(t, 0, 1)])
     jh = ex.evaluate(ex.parse_expression(fhat, var), [Jet2.variable(t, 0, 1)])
     if np.any(jf.value <= 0.0) or np.any(jh.value <= 0.0):
-        raise EvalDomainError("profile must stay positive", spec.f)
+        raise EvalDomainError("profile must stay positive", f_ast)
     out = (spec.m - 2) * (jf.grad[..., 0] - jh.grad[..., 0]) / (2.0 * jf.value)
     return float(out) if out.ndim == 0 else out
 

@@ -62,7 +62,6 @@ from .metric import (
 
 __all__ = [
     "LiftKind",
-    "LiftTooLarge",
     "FiberPoint",
     "LiftBlocks",
     "LiftedTension",
@@ -77,16 +76,10 @@ __all__ = [
     "check_lift_conditions",
 ]
 
-MAX_LIFT_TREE_SIZE = 2_000_000
 # Bundle points per batched block evaluation in ``check_lift_conditions``:
 # the (N, m, 2m, 2m) block arrays of one unbounded 64-point batch raised
 # peak memory by a fifth; small slices keep it at the per-point level.
 LIFT_SLICE_POINTS = 8
-
-
-class LiftTooLarge(RuntimeError):
-    """The symbolically assembled lifted chart is over ``MAX_LIFT_TREE_SIZE``
-    printed nodes."""
 
 
 class LiftKind(enum.Enum):
@@ -294,16 +287,17 @@ def _symbolic_inverse(components):
     return inv
 
 
-def _symbolic_christoffels(g: ChartedMetric):
+def _symbolic_christoffels(g: ChartedMetric, dmemo: dict):
     """Christoffel symbol trees Gamma[k][i][j] over the base chart, with
-    (i, j) entries shared, plus the cofactor inverse trees."""
+    (i, j) entries shared, plus the cofactor inverse trees; ``dmemo`` is
+    the memo of :func:`exprlang.differentiate`."""
     m = g.dim
     comp = g.components
     dg = [[[None] * m for _ in range(m)] for _ in range(m)]  # [i][j][l]
     for i in range(m):
         for j in range(i, m):
             for l in range(m):
-                d = ex.differentiate(comp[i][j], l)
+                d = ex.differentiate(comp[i][j], l, dmemo)
                 dg[i][j][l] = dg[j][i][l] = d
     ginv = _symbolic_inverse(comp)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]  # [k][i][j]
@@ -352,14 +346,16 @@ def lift_to_chart(
     chart, assembled symbolically (coframe products over the component
     trees).  The horizontal lift takes the complete-lift assembly, as the
     two coincide for the Levi-Civita connection; only the Sasaki kinds use
-    Christoffel trees, built from the cofactor inverse.  Raises
-    :class:`LiftTooLarge` over ``MAX_LIFT_TREE_SIZE`` printed nodes."""
+    Christoffel trees, built from the cofactor inverse.  Every shared node
+    of the components is differentiated once, so the result is linear in
+    the size of the base chart's DAG."""
     m = g.dim
     fiber = _fiber_names(g.coords, kind.cotangent)
     coords = g.coords + fiber
     w = [ex.sym(m + h, fiber[h]) for h in range(m)]
     comp = g.components
     zero = ex.const(0.0)
+    dmemo: dict = {}
 
     entries = [[zero] * (2 * m) for _ in range(2 * m)]
 
@@ -368,12 +364,12 @@ def lift_to_chart(
         for i in range(m):
             for j in range(i, m):
                 entries[i][j] = _sum(
-                    ex.mul(w[h], ex.differentiate(comp[i][j], h)) for h in range(m)
+                    ex.mul(w[h], ex.differentiate(comp[i][j], h, dmemo)) for h in range(m)
                 )
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
     elif kind is LiftKind.SASAKI_TM:
-        gamma, _ = _symbolic_christoffels(g)
+        gamma, _ = _symbolic_christoffels(g, dmemo)
         A = [
             [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
             for k in range(m)
@@ -392,7 +388,7 @@ def lift_to_chart(
                     ex.mul(A[k][i], comp[k][j]) for k in range(m)
                 )
     elif kind is LiftKind.SASAKI_CTM:
-        gamma, ginv = _symbolic_christoffels(g)
+        gamma, ginv = _symbolic_christoffels(g, dmemo)
         B = [[None] * m for _ in range(m)]
         for k in range(m):
             for i in range(k, m):
@@ -414,18 +410,6 @@ def lift_to_chart(
                 )
     else:
         raise ValueError(f"unknown lift kind: {kind!r}")
-
-    size_memo: dict = {}
-    total = 0
-    for i in range(2 * m):
-        for j in range(i, 2 * m):
-            total += ex.tree_size(entries[i][j], size_memo)
-    if total > MAX_LIFT_TREE_SIZE:
-        raise LiftTooLarge(
-            f"assembled lifted components have {total} printed nodes, "
-            f"over the {MAX_LIFT_TREE_SIZE} cap; this chart is too large "
-            "to lift symbolically"
-        )
 
     domain = _bundle_box(g.domain, m, fiber_interval)
     return ChartedMetric(coords, mirror_components(entries), domain)

@@ -39,6 +39,7 @@ __all__ = [
     "curvature_at",
     "metric_jets_at",
     "mirror_components",
+    "shared_component_sources",
 ]
 
 DEGENERACY_EPS = 1e-12
@@ -101,10 +102,15 @@ class ChartedMetric:
         return len(self.coords)
 
     @classmethod
-    def from_strings(cls, coords, entries, domain) -> "ChartedMetric":
+    def from_strings(
+        cls, coords, entries, domain, table: dict | None = None, names: dict | None = None
+    ) -> "ChartedMetric":
         """Parse a matrix of expression strings.  Mirror entries must be
         textually identical; the parsed upper triangle is shared, and so
-        is every subtree that occurs more than once in the matrix."""
+        is every subtree that occurs more than once in the matrix.
+        ``table`` and ``names`` are passed to
+        :func:`exprlang.parse_expression`: one table shares subtrees with
+        other charts, and ``names`` resolves named definitions."""
         coords = tuple(coords)
         m = len(coords)
         if len(entries) != m or any(len(r) != m for r in entries):
@@ -116,10 +122,13 @@ class ChartedMetric:
                         f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                         "must be identical"
                     )
-        table: dict = {}
+        if table is None:
+            table = {}
         parsed = [
             [
-                ex.parse_expression(str(entries[i][j]), coords, table) if j >= i else None
+                ex.parse_expression(str(entries[i][j]), coords, table, names)
+                if j >= i
+                else None
                 for j in range(m)
             ]
             for i in range(m)
@@ -130,6 +139,26 @@ class ChartedMetric:
     def component_sources(self) -> list[list[str]]:
         memo: dict = {}
         return [[ex.to_source(e, memo) for e in row] for row in self.components]
+
+
+def shared_component_sources(charts: Sequence[ChartedMetric]):
+    """``(definitions, matrices)``: the component matrices of charts on one
+    chart as source text, each node they use more than once printed once,
+    as a definition (:func:`exprlang.to_shared_sources`)."""
+    coords = charts[0].coords
+    m = len(coords)
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    definitions, texts = ex.to_shared_sources(
+        [g.components[i][j] for g in charts for i, j in upper], coords
+    )
+    matrices = []
+    it = iter(texts)
+    for _ in charts:
+        mat = [[""] * m for _ in range(m)]
+        for i, j in upper:
+            mat[i][j] = mat[j][i] = next(it)
+        matrices.append(mat)
+    return definitions, matrices
 
 
 @dataclass(frozen=True)

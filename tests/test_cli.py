@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metriclift
-from metriclift import cli, gallery, harmonic
+from metriclift import cli, exprlang, gallery, harmonic
+from metriclift.lifts import LiftKind, lift_to_chart
 from conftest import dense_metric
 
 
@@ -289,20 +290,35 @@ class TestLift:
             "sasaki-ctm": 1,
         }
 
-    def test_lift_over_tree_size_cap_exits_two(self, tmp_path, capsys):
-        # the dense m=4 Sasaki lift assembles 3.66M printed nodes, over the cap
-        g = dense_metric(4)
+    def test_dense_m4_sasaki_lift_round_trips(self, tmp_path, capsys):
+        # 3.66M printed nodes as expanded trees; the definitions keep the
+        # text linear in the lifted DAG, and `check` of it reproduces the
+        # in-process check of the two assembled charts
+        g, ghat = dense_metric(4), dense_metric(4, quad=0.3, amp=0.15)
         doc = {
             "coordinates": list(g.coords),
             "metric": g.component_sources(),
+            "hat_metric": ghat.component_sources(),
             "domain": [list(iv) for iv in g.domain],
+            "samples": 16,
         }
         path = write_manifest(tmp_path, "m.json", doc)
         code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "sasaki-tm")
-        assert code == 2
-        err = strict_json(out)["error"]
-        assert err["kind"] == "LiftTooLarge"
-        assert "too large to lift symbolically" in err["message"]
+        assert code == 0
+        assert len(out) < 100_000
+        lifted = tmp_path / "lifted.json"
+        lifted.write_text(out)
+        code, out = run_cli(capsys, "check", "--manifest", str(lifted))
+        report = strict_json(out)
+        g_l, ghat_l = (
+            lift_to_chart(base, LiftKind.SASAKI_TM)
+            for base in cli.build_metrics(doc, need_hat=True)
+        )
+        want = harmonic.check_harmonic(g_l, ghat_l, samples=16).as_dict()
+        assert code == (0 if want["verdict"] == "harmonic-on-samples" else 1)
+        for key in ("verdict", "samples_used", "max_abs_residual", "per_component_max",
+                    "worst_point"):
+            assert report[key] == want[key], key
 
     def test_explicit_metric_with_hat(self, tmp_path, capsys):
         doc = {
@@ -318,6 +334,175 @@ class TestLift:
         lifted = json.loads(out)
         assert lifted["dimension"] == 4
         assert "hat_metric" in lifted
+
+
+def chain_manifest(k: int, entry: str) -> dict:
+    """Definitions d_j = d_{j-1}*d_{j-1}: k lines whose expansion has 2^k
+    leaves.  ``entry`` is the (1,1) metric entry."""
+    defs = [["d1", "1 + x1*x2"]] + [[f"d{j}", f"d{j - 1}*d{j - 1}"] for j in range(2, k + 1)]
+    return {
+        "coordinates": ["x1", "x2"],
+        "definitions": defs,
+        "metric": [[entry, "0"], ["0", "1"]],
+        "hat_metric": [[entry, "0"], ["0", "2"]],
+    }
+
+
+class TestDefinitions:
+    def test_names_expand_to_the_same_check(self, tmp_path, capsys):
+        expanded = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["2 + x1*x1", "0.1*sin(x1 + x2)"], ["0.1*sin(x1 + x2)", "3 + x2*x2"]],
+            "hat_metric": [["2*(2 + x1*x1)", "0.1*sin(x1 + x2)"],
+                           ["0.1*sin(x1 + x2)", "3 + x2*x2"]],
+            "samples": 16,
+        }
+        named = dict(expanded, definitions=[["a", "2 + x1*x1"], ["s", "0.1*sin(x1 + x2)"]])
+        named["metric"] = [["a", "s"], ["s", "3 + x2*x2"]]
+        named["hat_metric"] = [["2*a", "s"], ["s", "3 + x2*x2"]]
+        outs = []
+        for doc in (expanded, named):
+            code, out = run_cli(capsys, "check", "--manifest",
+                                write_manifest(tmp_path, "m.json", doc))
+            report = strict_json(out)
+            del report["manifest_sha256"]
+            outs.append((code, report))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 1
+
+    def test_long_chain_lifts_linearly(self, tmp_path, capsys):
+        # without a memo per (node, index), differentiating d_k doubles per level
+        k = 60
+        path = write_manifest(tmp_path, "m.json", chain_manifest(k, f"d{k}"))
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "complete-tm")
+        assert code == 0
+        assert len(strict_json(out)["definitions"]) <= 8 * k
+
+    def test_error_text_of_a_long_chain_is_capped(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, "m.json", chain_manifest(60, "1 + log(0 - d60)"))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "EvalDomainError"
+        assert err["message"].startswith("log of non-positive value in 'log(0 - ")
+        assert len(err["message"]) < exprlang.CULPRIT_CHARS + 100
+
+    @pytest.mark.parametrize(
+        "definitions, needle",
+        [
+            ([["a", "x1"], ["a", "x2"]], "definition 'a' is given more than once"),
+            ([["x2", "1"]], "definition 'x2' is named like a coordinate"),
+            ([["exp", "1"]], "definition 'exp' is named like a function"),
+            ([["a", "b + 1"], ["b", "x1"]], "in definition 'a': 'b' is used before"),
+            ([["a", "a + 1"]], "in definition 'a': 'a' is used before"),
+            ([["a", "x1 +"]], "in definition 'a': unexpected end of input"),
+            ([["a", "foo"]], "in definition 'a': unknown identifier 'foo'"),
+            ([["2a", "1"]], "definition name '2a' is not an identifier"),
+            ([[7, "1"]], "definition 1 must be named by a string"),
+            ([["a", 1.5]], "definition 'a' must be an expression string"),
+            ([["a", "1"], ["b"]], "definition 2 must be a [name, expression] pair"),
+            ([["a", "1", "2"]], "definition 1 must be a [name, expression] pair"),
+            ([{"a": "1"}], "definition 1 must be a [name, expression] pair"),
+            ({"a": "1"}, "'definitions' must be a list"),
+            ([["a", "(" * 3000 + "x1" + ")" * 3000]], "definition 'a' is nested too deeply"),
+            (
+                [["d1", "x1"]] + [[f"d{j}", f"d{j - 1} + x1"] for j in range(2, 3001)],
+                f"definition 'd{exprlang.MAX_DEFINITION_DEPTH + 1}' nests",
+            ),
+        ],
+        ids=["duplicate", "coordinate", "function", "forward", "self", "syntax", "unknown",
+             "bad-name", "non-string-name", "non-string-expression", "short-pair",
+             "long-pair", "object-pair", "not-a-list", "deep-text", "deep-chain"],
+    )
+    def test_bad_definitions_exit_two_naming_the_definition(
+        self, tmp_path, capsys, definitions, needle
+    ):
+        doc = {"coordinates": ["x1", "x2"], "definitions": definitions,
+               "metric": [["1", "0"], ["0", "1"]], "hat_metric": [["1", "0"], ["0", "1"]]}
+        path = write_manifest(tmp_path, "m.json", doc)
+        for command in ("check", "lift", "tensors"):
+            code, out = run_cli(capsys, command, "--manifest", path, "--at", "0,0",
+                                "--lift", "sasaki-tm" if command == "lift" else "none")
+            assert code == 2
+            err = strict_json(out)["error"]
+            assert err["kind"] == "ManifestError"
+            assert needle in err["message"]
+
+    def test_definitions_need_an_explicit_matrix(self, tmp_path, capsys):
+        doc = egorov_manifest(definitions=[["a", "x1"]])
+        code, out = run_cli(capsys, "check", "--manifest",
+                            write_manifest(tmp_path, "m.json", doc))
+        assert code == 2
+        assert "'definitions' need an explicit" in strict_json(out)["error"]["message"]
+
+
+class TestManifestNumbers:
+    def test_fractional_counts_exit_two(self, tmp_path, capsys):
+        # used to check as m=1 with samples_used 8
+        doc = {"dimension": 1.5, "metric": [["1"]], "hat_metric": [["1"]], "samples": 8.7}
+        code, out = run_cli(capsys, "check", "--manifest",
+                            write_manifest(tmp_path, "m.json", doc))
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert err["message"] == "'dimension' must be an integer, got 1.5"
+
+    @pytest.mark.parametrize(
+        "extra, field",
+        [({"samples": 8.7}, "samples"), ({"seed": 0.5}, "seed"), ({"samples": True}, "samples"),
+         ({"seed": "7"}, "seed"), ({"dimension": 3.5}, "dimension"),
+         ({"dimension": True}, "dimension")],
+    )
+    def test_non_integers_exit_two(self, tmp_path, capsys, extra, field):
+        path = write_manifest(tmp_path, "m.json", egorov_manifest(**extra))
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert err["message"].startswith(f"'{field}' must be an integer")
+
+    @pytest.mark.parametrize("m", [3.5, True])
+    def test_non_integer_egorov_m_exits_two(self, tmp_path, capsys, m):
+        doc = egorov_manifest()
+        del doc["dimension"]
+        doc["family"] = dict(doc["family"], m=m)
+        code, out = run_cli(capsys, "check", "--manifest",
+                            write_manifest(tmp_path, "m.json", doc))
+        assert code == 2
+        assert "'m' must be an integer" in strict_json(out)["error"]["message"]
+
+    def test_integral_floats_are_counts(self, tmp_path, capsys):
+        doc = egorov_manifest(samples=8.0, dimension=3.0)
+        code, out = run_cli(capsys, "check", "--manifest",
+                            write_manifest(tmp_path, "m.json", doc))
+        assert code == 0
+        assert strict_json(out)["samples_used"] == 8
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["check", "--lift", "bogus"], "invalid choice: 'bogus'"),
+            (["tensors", "--at", "-0.5,0.1"], "argument --at: expected one argument"),
+            (["check", "--samples", "many"], "invalid int value: 'many'"),
+            (["frobnicate"], "invalid choice: 'frobnicate'"),
+            ([], "required"),
+        ],
+    )
+    def test_exit_two_with_strict_json(self, tmp_path, capsys, argv, needle):
+        path = write_manifest(tmp_path, "m.json", egorov_manifest())
+        if argv:
+            argv = argv[:1] + ["--manifest", path] + argv[1:]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        err = strict_json(captured.out)["error"]
+        assert err["kind"] == "UsageError"
+        assert needle in err["message"]
+        assert captured.err == ""
 
 
 class TestTensors:
@@ -393,13 +578,23 @@ class TestDeterminism:
 
 
 # Bounded random manifests for the CLI outcome property: m <= 4, at most 64
-# samples, every lift kind and a bogus one.  Most manifests are well formed;
-# the rest carry bad tokens, overflowing expressions, non-finite JSON numbers
-# or fields of the wrong JSON type.  Sizes stay small: the huge ones have
-# their own tests, which stop any allocation.
+# samples, every lift kind and a bogus one, definitions or none.  Most
+# manifests are well formed; the rest carry bad tokens, overflowing
+# expressions, non-finite JSON numbers, fields of the wrong JSON type or
+# malformed definitions.  Sizes stay small: the huge ones have their own
+# tests, which stop any allocation.
 _BAD_ENTRIES = ["x1 +* 2", "@", "foo(x1)", "x9", "", ")", "1e999", "exp(1000*x1)",
                 "log(x1 - 5)", "1/x1", "nan", "inf", float("inf"), float("nan"), 7, None]
 _BAD_NUMBERS = [-3, 0, float("inf"), float("nan"), -float("inf"), "8", [8], None, 1e400]
+
+
+def _bad_definitions(coords):
+    chain = [["a1", "x1"]] + [[f"a{j}", f"a{j - 1} + x1"] for j in range(2, 300)]
+    return [
+        [["a1", "x1"], ["a1", "2"]], [[coords[-1], "1"]], [["sin", "1"]],
+        [["a1", "a2"], ["a2", "1"]], [["a1", 5]], [[5, "x1"]], [["a1"]],
+        [["a1", "x1", "x2"]], ["a1"], {"a1": "x1"}, "a1", [["a1", "x1 +"]], chain,
+    ]
 
 
 @st.composite
@@ -411,9 +606,18 @@ def _manifests(draw):
     def sometimes_bad(good, bad):
         return draw(st.sampled_from(bad if draw(st.integers(0, 15)) == 0 else good))
 
+    definitions = None
+    if draw(st.booleans()):
+        # a1 and a2 are what valid definitions name; the matrix uses them
+        good = [[["a1", f"0.1*sin(x1 + {last})"], ["a2", "a1*a1 + 2"]],
+                [["a1", f"0.25*x1*{last}"], ["a2", f"a1 + {m + 2}"]]]
+        definitions = sometimes_bad(good, _bad_definitions(coords))
+
     def matrix():
         diag = ["3 + x1^2", "2", f"{m + 2} + 0.25*{last}^2", "-1", "exp(x1)"]
         off = ["0", f"0.25*x1*{last}", f"0.1*sin(x1 + {last})", "0.5"]
+        if definitions is not None:
+            diag, off = diag + ["a2", "a2 + x1^2"], off + ["a1", "0.5*a1"]
         upper = [
             [sometimes_bad(diag if i == j else off, _BAD_ENTRIES) for j in range(m)]
             for i in range(m)
@@ -421,6 +625,8 @@ def _manifests(draw):
         return [[upper[min(i, j)][max(i, j)] for j in range(m)] for i in range(m)]
 
     doc = {"metric": matrix(), "hat_metric": matrix()}
+    if definitions is not None:
+        doc["definitions"] = definitions
     if draw(st.booleans()):
         doc["dimension"] = sometimes_bad([m], [m + 1, "m"])
     else:
@@ -455,16 +661,15 @@ def _manifests(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_manifests(), st.sampled_from(["check", "check", "lift", "tensors"]))
-def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command):
+@given(_manifests(), st.sampled_from(["check", "check", "lift", "tensors"]), st.booleans())
+def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command, glued):
     doc, at = case
-    if command == "lift" and len(doc.get("metric", ())) > 2:
-        command = "check"  # printed Sasaki trees of dense m >= 3 charts are large
     path = tmp_path_factory.mktemp("manifest") / "m.json"
     path.write_text(json.dumps(doc))
     argv = [command, "--manifest", str(path)]
     if command == "tensors":
-        argv.append(f"--at={at}")  # "--at -0.5,..." would read as an option
+        # "--at -0.5,..." reads as an option: a usage error, in JSON too
+        argv += [f"--at={at}"] if glued else ["--at", at]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), np.errstate(all="ignore"), \
             warnings.catch_warnings():

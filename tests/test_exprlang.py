@@ -404,3 +404,85 @@ def test_jets_match_central_differences_on_random_trees(e, point):
         assert np.abs(jets[0].hess[k] - fd_row).max() <= FD_RTOL * max(
             grad_scale, np.abs(fd_row).max()
         )
+
+
+def _expanded(e) -> int:
+    """Leaves of the expanded tree of ``e``."""
+    memo: dict = {}
+
+    def count(node):
+        if id(node) not in memo:
+            kids = ex._children(node)
+            memo[id(node)] = sum(count(k) for k in kids) if kids else 1
+        return memo[id(node)]
+
+    return count(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TREES, min_size=1, max_size=4))
+def test_definitions_parse_to_the_nodes_of_the_expanded_text(roots):
+    # a family that shares subtrees by identity and by structure
+    roots = roots + [Binary("*", roots[0], roots[-1]), Neg(roots[0])]
+    symbols = ["x1", "x2"]
+    definitions, sources = ex.to_shared_sources(roots, symbols)
+    table: dict = {}
+    names = ex.parse_definitions(definitions, symbols, table)
+    for name, _ in definitions:
+        assert not isinstance(names[name], (Num, Sym))  # no leaf is named
+    for root, src in zip(roots, sources):
+        assert parse_expression(src, symbols, table, names) is parse_expression(
+            to_source(root), symbols, table
+        )
+
+
+def test_every_shared_node_is_printed_once():
+    # parsing interns x1 + x2, so sin and exp share it
+    table: dict = {}
+    a, b = (parse_expression(f"{fn}(x1 + x2)", ["x1", "x2"], table) for fn in ("sin", "exp"))
+    c = Binary("+", Binary("*", a, a), b)
+    definitions, sources = ex.to_shared_sources([c, a], ["x1", "x2"])
+    assert definitions == [["t1", "x1 + x2"], ["t2", "sin(t1)"]]
+    assert sources == ["t2*t2 + exp(t1)", "t2"]
+
+
+def test_definition_names_avoid_reserved_names():
+    e = parse_expression("(x1 + t1)*(x1 + t1)", ["x1", "t1"])
+    definitions, sources = ex.to_shared_sources([e], ["x1", "t1", "t_2"])
+    assert definitions == [["t__1", "x1 + t1"]]
+    assert sources == ["t__1*t__1"]
+
+
+def _square_chain(k: int):
+    symbols = ["x1"]
+    table: dict = {}
+    defs = [["d1", "1 + x1"]] + [[f"d{j}", f"d{j - 1}*d{j - 1}"] for j in range(2, k + 1)]
+    return ex.parse_definitions(defs, symbols, table)[f"d{k}"]
+
+
+def _unique(e) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += ex._children(node)
+    return len(seen)
+
+
+def test_differentiate_is_linear_in_the_dag():
+    d = _square_chain(60)
+    assert _expanded(d) == 2**60
+    assert _unique(ex.differentiate(d, 0)) <= 5 * 60
+
+
+def test_error_text_is_capped():
+    d = _square_chain(60)
+    e = Binary("+", Num(1.0), Call("log", Binary("-", Num(0.0), d)))
+    with pytest.raises(EvalDomainError) as exc:
+        eval_value(e, [-1.0])  # 1 + x1 = 0, so no overflow on the way
+    culprit = exc.value.culprit
+    assert len(culprit) == ex.CULPRIT_CHARS + len("...")
+    assert culprit.startswith("log(0 - (1 + x1)*(1 + x1)*((1 + x1)*(1 + x1))")
+    assert to_source(Neg(Sym(0, "x1")), limit=ex.CULPRIT_CHARS) == "-x1"
+

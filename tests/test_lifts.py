@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import metriclift.lifts as lifts_mod
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
 from metriclift.harmonic import lattice_points, shared_domain, tension_identity_at
 from metriclift.lifts import (
@@ -34,9 +33,8 @@ def _some_fiber_points(g, n=6, seed=99):
 
 
 # Every kind on the Egorov and Goedel bases, plus a dense m=5 base for the
-# horizontal and complete lifts (its Sasaki charts are over the tree-size
-# cap): there the adapted-frame horizontal blocks check the complete-lift
-# assembly that emits both charts.
+# horizontal and complete lifts: there the adapted-frame horizontal blocks
+# check the complete-lift assembly that emits both charts.
 FRAME_CASES = [
     pytest.param(g, kind, id=f"g{i}-{kind}")
     for i, g in enumerate([EGOROV3, GODEL])
@@ -238,11 +236,6 @@ class TestLiftToChart:
         )
         with pytest.raises(ValueError, match="fiber coordinate names"):
             lift_to_chart(g, LiftKind.SASAKI_TM)
-
-    def test_tree_size_guard(self, monkeypatch):
-        monkeypatch.setattr(lifts_mod, "MAX_LIFT_TREE_SIZE", 10)
-        with pytest.raises(RuntimeError, match="too large"):
-            lift_to_chart(EGOROV3, LiftKind.SASAKI_TM)
 
     def test_fiber_lattice_deterministic_in_box(self):
         a = fiber_lattice(GODEL, 16, seed=3)

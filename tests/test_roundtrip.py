@@ -1,9 +1,10 @@
 """`lift | check`: the emitted text, and the sharing its reparse recovers.
 
-`lift` prints DAGs with heavy sharing as expanded trees; parsing the text
-back interns structurally identical subtrees, so the reparsed chart must
-be no larger than the assembled one and evaluate exactly like a plain
-(unshared) parse of the same text.
+`lift` prints each subexpression shared by the two lifted charts once, as
+a named definition.  Parsing interns structurally identical subtrees, so
+the definitions manifest parses to the very nodes of the expanded text
+(one `to_source` tree per entry), and the reparsed chart is no larger than
+the assembled one and evaluates exactly like a plain (unshared) parse.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from metriclift import cli
 from metriclift import exprlang as ex
 from metriclift.harmonic import lattice_points
 from metriclift.lifts import LiftKind, lift_to_chart
-from metriclift.metric import ChartedMetric, metric_jets_at
+from metriclift.metric import ChartedMetric, metric_at, metric_jets_at
 from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric
 
 
@@ -73,78 +74,92 @@ def test_reparse_keeps_sharing_and_values(m, kind, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
-def _lift_stdout(tmp_path, capsys, g, ghat, kind) -> str:
-    doc = {
+def _base_manifest(g, ghat) -> dict:
+    return {
         "coordinates": list(g.coords),
         "metric": g.component_sources(),
         "hat_metric": ghat.component_sources(),
         "domain": [list(iv) for iv in g.domain],
     }
+
+
+def _lift_stdout(tmp_path, capsys, g, ghat, kind) -> str:
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_base_manifest(g, ghat)))
     code = cli.main(["lift", "--manifest", str(path), "--lift", kind.value])
     assert code == 0
     return capsys.readouterr().out
 
 
-# sha256 of the `lift` stdout, recorded before printing was memoized.  The
-# horizontal lift has no entry of its own: its chart is the complete lift's
-# (README Known result 1), so `lift` prints the same bytes for both kinds.
+def parse_lifted(doc: dict, table: dict) -> tuple[ChartedMetric, ChartedMetric]:
+    """The two charts of an emitted manifest, parsed into ``table``."""
+    coords = doc["coordinates"]
+    names = ex.parse_definitions(doc["definitions"], coords, table)
+    return tuple(
+        ChartedMetric.from_strings(coords, doc[key], doc["domain"], table, names)
+        for key in ("metric", "hat_metric")
+    )
+
+
+# sha256 of the `lift` stdout.  The horizontal lift has no entry of its own:
+# its chart is the complete lift's (README Known result 1), so `lift` prints
+# the same bytes for both kinds.  What the text must parse to is pinned by
+# `test_definitions_parse_to_the_expanded_nodes`.
 LIFT_STDOUT_SHA256 = {
-    "egorov-m3-exp/sasaki-tm": "a062959259acb268ce452e9adba9c13b4aa5e4abddb1cb1e6b57d81305bc911f",
-    "egorov-m3-exp/complete-tm": "def8c85f93f618cdf81583a800e7663fdd0bf5468625b1a25cde3daf5e04a23d",
-    "egorov-m3-exp/sasaki-ctm": "472218cede22f987003506d3a65d6dad6b17fe891e79954b79a82e66fef93e67",
-    "egorov-m3-quad/sasaki-tm": "50c94bb2666c076de7dce622213d99c9acab9d2a21098a1ce9f360e46ae7a2d0",
-    "egorov-m3-quad/complete-tm": "06531549d5ff1d2b910d76390af0b4ca7c95002d71c888eee4124d76517ea54f",
-    "egorov-m3-quad/sasaki-ctm": "e15411c164e97086940b762312df0d67f408681bf88b298c601ace0f566315be",
-    "egorov-m3-cosh/sasaki-tm": "96d4eb039df011c15fafd7bccdccdf7e84ac0ff80a3763fae3fccb1d6a53727d",
-    "egorov-m3-cosh/complete-tm": "844e4e1960828fa34c0e7782044e21d392c840c16666e15d6cecc92feb4abec8",
-    "egorov-m3-cosh/sasaki-ctm": "210797decde38d26eb3f9a950ed1164bc1055d7aa05e8641ba67909ec399eb9c",
-    "egorov-m4-exp/sasaki-tm": "d18d9480d9c0ed69886cec782dfc04975a3c6f8acb3f51c19cf2d5c3bc312525",
-    "egorov-m4-exp/complete-tm": "65439acda7160ac1c98ff954b2bb1c02e0dc44a6a58cf0397aab0eaf970189f6",
-    "egorov-m4-exp/sasaki-ctm": "07ea9a2b65821fa188cca2962cfaa312f6a3ca21d1546b1d2399d6a7fc0073f6",
-    "egorov-m4-cosh/sasaki-tm": "d3f8bb170d8dfee49fb31de092b25b5042a7131de49e950619ab2461f8cb00a7",
-    "egorov-m4-cosh/complete-tm": "18d9f95f841f73808a54d9240c221d4f7282f8cac247b85b7579baaccce20b54",
-    "egorov-m4-cosh/sasaki-ctm": "72c3787eb04d0919e2a42afafab06544b6f0acc43c03cea548720d0163d3b5a4",
-    "egorov-m5-quad/sasaki-tm": "1e6bccca11771c6692dd381f3d95cd53a48d7cbcce8c9950a2e6b179c222e5a0",
-    "egorov-m5-quad/complete-tm": "a15a02a11ce899e1fcd9f998366b93db22afd629220b7bcb4f2a7e7a29726f62",
-    "egorov-m5-quad/sasaki-ctm": "d2d00ec10fdfa76b21ff5af01a78a9eedb78d83173f7087f98f9e132de2a09e0",
-    "godel-cosh/sasaki-tm": "11ee23bb7aa871d8ba4c6b609e59a04ea24cc5be46016a6e5991abfe31775988",
-    "godel-cosh/complete-tm": "543b8e1cf3e113acd9bbfbced078f69b4e0fd1d8a3fd2b819f86af6f9e2dc4ea",
-    "godel-cosh/sasaki-ctm": "fba47eada6e5b87cf54e785af28af93914f8f1fcde9847beefec77e57ee462e1",
-    "godel-exp/sasaki-tm": "be942bfb9da12483ab6ee48269ec495f9c182f9c87900633173cad155d5c8b0c",
-    "godel-exp/complete-tm": "d5bedb42791a36aa578c1da9fb7051e1436e8cc3fdff50b364515e8460fe6ce7",
-    "godel-exp/sasaki-ctm": "91cb9b9195e7abb05acfddf5b5f5afe9780a6badb3aff29d8353f3dc1ffa6563",
-    "godel-shifted/sasaki-tm": "881fc19d5126a21b9839c5ccfc6b68c79eaa3234e3ec7a7da3688cb274194608",
-    "godel-shifted/complete-tm": "6653bd183df1bbd2ce2e6d419e70e2b0ae9d36220568b337eccc8b6e877ea6a2",
-    "godel-shifted/sasaki-ctm": "6d9eb2ff24a95ae918970b807fe7c2c97593a57b03988bcc709f29cae4eae74d",
-    "walker-const/sasaki-tm": "76316b1ca847a84c4a02c4e74659bef055a43af7aee9ef44cc457062476640d2",
-    "walker-const/complete-tm": "11388c7936ee5606e022a5d39a66d89937dbf73ffc3f6700bc1c783a6bcdd7ba",
-    "walker-const/sasaki-ctm": "2f41c9c3d95830e23d327e450d898118fecd9b59b89e2bb6e02faaa2bc561b18",
-    "walker-linear/sasaki-tm": "4e8616c17420c5191115225b468671cca35b07297ee982914622f80c15aee42b",
-    "walker-linear/complete-tm": "a55b1b72a5297aac3b411802d1eb3d91076384c5385565c750a0435ddb14dba3",
-    "walker-linear/sasaki-ctm": "1a380718df40a276bf6411da91fd3b69a95ac478ed53350ae63b7b5108d57e4a",
-    "walker-mixed/sasaki-tm": "abf623117c50f8e31ed0c61e5d0c4dc545039f8d3212507d543989383b82cc99",
-    "walker-mixed/complete-tm": "a788f63daebfb7c0beff108e88cf7c831bddeb1462f384729900d183c6240f8f",
-    "walker-mixed/sasaki-ctm": "662235fd98327506875d1990cfc169799edb5c3bf175385dab0c13a085847ce7",
-    "egorov-m3-2exp/sasaki-tm": "9982fa090099c549dae2efb9dd5d1d2c519248fdf83ee91a4d4fac06b67fad13",
-    "egorov-m3-2exp/complete-tm": "93c228f3ac7b5b4a15822455973fc020776ae5ef47df4c78d397dc559c5f72fd",
-    "egorov-m3-2exp/sasaki-ctm": "f8176984b5129dac3f0270f6c6aa627339693900b1d11dd8720ef5c75ee282cc",
-    "egorov-m4-2exp/sasaki-tm": "3aa6f43822de838f0462313dafbda53b56baa45908b4170c1a6965c66c90609b",
-    "egorov-m4-2exp/complete-tm": "1057cf07dc1f7998e1f02f8af349758ffdccf9129fd7090191a5e3fdc576e95a",
-    "egorov-m4-2exp/sasaki-ctm": "8c39422c0157810a766b0d6533fd6d773f8edae47a33d7e2de6b52d63d327fdd",
-    "godel-2h/sasaki-tm": "bc297b016e0c691da08d85be869c0c1ea5b47ec266fa8c91ed79d08f55adad32",
-    "godel-2h/complete-tm": "0f26e139097261b6a8fcb69999e259c54d8ff2a4d82b8e2d3c1bd9969c00b644",
-    "godel-2h/sasaki-ctm": "3f2ad6ea21934f908d34a2d2109f6a3e3d676071005e145f25837dc233c2caeb",
-    "walker-x2x3/sasaki-tm": "18d710cb5d257098648bb105034dfadd53ceb5fd42a2eafb6a2070e591d2e493",
-    "walker-x2x3/complete-tm": "7967b20fe57d47bd2250d035758247bdb60b0c3c31f007dc2a4411826d7120b0",
-    "walker-x2x3/sasaki-ctm": "f4b93790d0e18266b10d93417c77729fb2300d58b6618744d842177d07abe5b9",
-    "dense-m2/sasaki-tm": "06d4c713355ad81ff9a9437e68a8620f9cd96824d7fa385180a3366671031555",
-    "dense-m2/complete-tm": "d1cdb483fd0f97e5b69f80204685be594236d261df60b79f5815185c7569e5d8",
-    "dense-m2/sasaki-ctm": "e602aa64284cc2da02920966e0ab8e20bdfba9408f952ce19ae209ff534313f7",
-    "dense-m3/sasaki-tm": "d53f74a906f3aa123cee217c32b3d3e1bb8d8864fbf82d1593ab6fdae4d8d19f",
-    "dense-m3/complete-tm": "6d0d08f6cc2406b91b9533513c18578c5ec962e203e1ff8825d81eabb7589865",
-    "dense-m3/sasaki-ctm": "9bff9f26822f4cc2a17e603aff5692aafec34d2e3097784dff8536bdeea0bee5",
+    "egorov-m3-exp/sasaki-tm": "7d14eb681d33ae18e5c000402f1a1c36792e3d5cf1c7ef758092ce66e7c6a97c",
+    "egorov-m3-exp/complete-tm": "900613475d0c4bc7a88202fa626890ba619a4ddb23b2ae6082dd9b6571fc80cf",
+    "egorov-m3-exp/sasaki-ctm": "8d205b9a35f340c6632a00997a6670bacfbc7ad48ac03a5e27cf18cfa405c35d",
+    "egorov-m3-quad/sasaki-tm": "82d67d1ef7c7d36193d75215b49c5b7946a42387414fe9538297c41fa3129dad",
+    "egorov-m3-quad/complete-tm": "943808814acfc3c0098004132e6d9af4685ccda85e2324673af3c4b5df2440a5",
+    "egorov-m3-quad/sasaki-ctm": "87c184435c2fb936e5d5073e480a4798e735107a191cdd236d17e8bc17aa120a",
+    "egorov-m3-cosh/sasaki-tm": "b832cfe1dbb03228d3f8b00ac58374839fbf7106dc76648e0d5b20727c450fc1",
+    "egorov-m3-cosh/complete-tm": "08f914f0cf4bc48913e51a67ec072e87d21b4c2c02c4f3e377948a32bfa48de8",
+    "egorov-m3-cosh/sasaki-ctm": "03183cc76b0d2f25e4ce1665d51cf0a6fbef605e875c414ed7ba9eac6dbfa33a",
+    "egorov-m4-exp/sasaki-tm": "6b0fc644eadb6372d904278a68da6f51a10429f0d19d85fe64a81ddb8c234fe8",
+    "egorov-m4-exp/complete-tm": "baafda92c1daf23293fdded3280fdf1045fa395b11f2e4b7f3978bfd2f31e7b0",
+    "egorov-m4-exp/sasaki-ctm": "dd74588364ad4cecbb4b54d9909fa206307f3d15980694abfed5249d12d94c9a",
+    "egorov-m4-cosh/sasaki-tm": "3baa3e9a485aacfe42991f2a52ee5bc05f377598700c5e8690fe9b83a7b2865b",
+    "egorov-m4-cosh/complete-tm": "4bceda4eb0d14f3a03822a0670d4d8f6f93d5ea2e672fb2788b242649ac52b9d",
+    "egorov-m4-cosh/sasaki-ctm": "70496b47c4147c1a8220a8b6b686e93c0916d844e95eededfa201e2c7795df12",
+    "egorov-m5-quad/sasaki-tm": "a755be0486c30503ce7393b768be645fc0837727c4e30fccc42ade0fad1c49f7",
+    "egorov-m5-quad/complete-tm": "07749dcf01a16ec7bfff79c3db88236611347b3cf8310e442d330c47ef084612",
+    "egorov-m5-quad/sasaki-ctm": "057e64617075b418e6515dc199e80af630d73f4628d4b69e65a1bf3490812a90",
+    "godel-cosh/sasaki-tm": "35a69270e47e583692dc1ef05027308cbe3f735ec39daa294666622d6e969cc2",
+    "godel-cosh/complete-tm": "d0dfbf2d40d7c5e94ce322cac5f6d096e38f59b62903154643f3ac9bef6f5ba9",
+    "godel-cosh/sasaki-ctm": "05f228143a5e846e644dc44e2ece44852e019070040961b7ec88a18a641c8cad",
+    "godel-exp/sasaki-tm": "9bb6f9548790340f575d51c2d82606e9edf4f9dd2170b1c86e0f52ce6567fe09",
+    "godel-exp/complete-tm": "e10afdc38a591b095934362bfd36d16273420099975a78cbe8bcee8a9c37773e",
+    "godel-exp/sasaki-ctm": "7bf9216afdbdf4512dfa1c5047dc057b13731140564d66a3c445e2510271a55e",
+    "godel-shifted/sasaki-tm": "f73a2e1ecc8ee0a0c20585df89d14336b7711c1d1ad5e890570bae5ee3f2e08f",
+    "godel-shifted/complete-tm": "5056e82b277a0b9bbebfa4ecf6da6b85cd718f0f1d7efa8114a2307063d03772",
+    "godel-shifted/sasaki-ctm": "a214b36c3e0d1417883974e36528a8c231bdd373ccc81bdcf5d1ebb86fecd12a",
+    "walker-const/sasaki-tm": "43eabd8a4adeecc3475c64524e72a09bdc3f751c5101199c2ea2e95d8ef665dc",
+    "walker-const/complete-tm": "08bbb326b659a86a86f7f3ad1f8073098831fb3f3034b71d989c960363485363",
+    "walker-const/sasaki-ctm": "411bccfd4b28d9b66e4636ff705734b59c8f8593ee3b24d9765c22c6bf3687b0",
+    "walker-linear/sasaki-tm": "3a056b65431bbf27b208e1996e07ba049e91c1fe38e040ca71df217b221ca172",
+    "walker-linear/complete-tm": "acf6f3f7ee4aa966546bab153bd7ec5ce1248dd858f3c4c0264d8b2f817c5e65",
+    "walker-linear/sasaki-ctm": "5bbcc3a3ba0d65572e52e12bcc9e455fcc6fa64ce3e7fa80a4a5ad3d54930b43",
+    "walker-mixed/sasaki-tm": "a6398a4fd641a8c9db16449124f17ef2cefb167b8e8e161433c7ae4565f076b5",
+    "walker-mixed/complete-tm": "ecaa09a80c5ecbe85c87318d3ffef31ec040039d64a460a82c12922704b78916",
+    "walker-mixed/sasaki-ctm": "591ce95ad880c1f00a4cc92ba72bc80046212da0854c5631ff875424df2824e4",
+    "egorov-m3-2exp/sasaki-tm": "80b70c6322f71acf469754e2578d2bf9dfd78bae15b8bde5ba331f551fbe0847",
+    "egorov-m3-2exp/complete-tm": "a2b1d4a1e0bdcffcaafa83da5c5f9bffde07cf138b05bed37f2001bec22e2120",
+    "egorov-m3-2exp/sasaki-ctm": "9463e419e1ba0e5f587eb34e02623589d567e096bd3575bd0498c6fdca9ad47a",
+    "egorov-m4-2exp/sasaki-tm": "b28949d81bd93463cb250cb71918048e468d0bb9747c564651ab4a0602e7b80f",
+    "egorov-m4-2exp/complete-tm": "84f653548c93caa3d1d006e2d09e279b716db6ddc8c715a73dfa362ee802f0ac",
+    "egorov-m4-2exp/sasaki-ctm": "4e23c7db57abcd29b70ee760036c9cde4486c006204cab4bebaf768101cf7db9",
+    "godel-2h/sasaki-tm": "97aca32132a0886384568d99e28e9b3b818e2bb3e8aad920f6323a711b42774b",
+    "godel-2h/complete-tm": "a7bedd5f11df70947a9206114d938ac4787452975edc4f5f1c52346da77f538b",
+    "godel-2h/sasaki-ctm": "9f97038a5a0277b8d7bb3d6750f00a7584b2cfede2c32d929c403fa2dbfa3a4b",
+    "walker-x2x3/sasaki-tm": "586fec8eb6ae2b413c8607cb526c4c4d7e5bf49eff2491d207e519a30714646f",
+    "walker-x2x3/complete-tm": "0b45ec7ca83e291cf465627aebba273908dfdf7c219a9c26df4099d6a066704b",
+    "walker-x2x3/sasaki-ctm": "15bb0cf07fda660aa3d509a2a62f2d885b62048651ef2048494b3404623deb6a",
+    "dense-m2/sasaki-tm": "47ba99e0bc8be57c7a8f766e3865d02b750e9981ad8737e24a97a7096dd6b4f4",
+    "dense-m2/complete-tm": "a9c4d13b3e1551553cb11463d6f3970c4b482fb581826ad7c3b0d23f56a48bef",
+    "dense-m2/sasaki-ctm": "3efe54d247803908b0c15f155c3b28b4d81b6e7221674e0c9cc92cb4d30384f9",
+    "dense-m3/sasaki-tm": "dc0acb1fca42d18106b0c9c558413e153e945cbf3c53c180f8930f092396a35d",
+    "dense-m3/complete-tm": "0566127bf1cfc0ecec3384b18672b3f1ca5efd555ac0c8b30c677c8d931e75be",
+    "dense-m3/sasaki-ctm": "2581d3fdb60bbd524557f34650b41d0f97903f67d0e557c5309d197dd5c899b0",
 }
 
 GOLDEN_CASES = [
@@ -162,3 +177,33 @@ def test_lift_stdout_unchanged(case, tmp_path, capsys):
     out = _lift_stdout(tmp_path, capsys, g, ghat, kind)
     recorded = label.replace(LiftKind.HORIZONTAL_TM.value, LiftKind.COMPLETE_TM.value)
     assert hashlib.sha256(out.encode()).hexdigest() == LIFT_STDOUT_SHA256[recorded]
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_definitions_parse_to_the_expanded_nodes(case, tmp_path, capsys):
+    # the expanded text of each chart `lift` assembles (from the base
+    # charts as the CLI parses them) is what it printed before it emitted
+    # definitions
+    label, g, ghat, kind = case
+    doc = json.loads(_lift_stdout(tmp_path, capsys, g, ghat, kind))
+    table: dict = {}
+    expanded = [
+        ChartedMetric.from_strings(c.coords, c.component_sources(), c.domain, table)
+        for c in (
+            lift_to_chart(base, kind)
+            for base in cli.build_metrics(_base_manifest(g, ghat), need_hat=True)
+        )
+    ]
+    shared = parse_lifted(doc, table)
+    m = expanded[0].dim
+    for a, b in zip(shared, expanded):
+        assert a.coords == b.coords and a.domain == b.domain
+        assert all(a.components[i][j] is b.components[i][j] for i in range(m) for j in range(m))
+
+    # parsed apart, into tables of their own, they evaluate bit-identically
+    alone = parse_lifted(doc, {})
+    x = lattice_points(shared[0].domain, 4, seed=5)
+    for a, b in zip(alone, expanded):
+        assert metric_at(a, x).tobytes() == metric_at(b, x).tobytes()
+        for ja, jb in zip(metric_jets_at(a, x), metric_jets_at(b, x)):
+            assert ja.tobytes() == jb.tobytes()
