@@ -386,20 +386,27 @@ def _fmt_num(v: float) -> str:
     return repr(v)
 
 
-def _renderer(memo: dict, limit: int | None = None, define=None):
+class _Renderer:
     """The printer behind :func:`to_source` and :func:`to_shared_sources`:
-    renders a node to ``(text, precedence)``, once per node identity.
-    ``define(node, text)`` may return a name to print the node as."""
-    keep = None if limit is None else limit + 1
+    called on a node, renders it to ``(text, precedence)``, once per node
+    identity.  ``define(node, text)`` may return a name to print the node
+    as.  A class rather than recursive closures, which would form a
+    reference cycle holding ``memo`` past the call."""
 
-    def wrap(child: ExprAst, minimum: int) -> str:
-        s, prec = render(child)
+    def __init__(self, memo: dict, limit: int | None = None, define=None):
+        self.memo = memo
+        self.keep = None if limit is None else limit + 1
+        self.define = define
+
+    def wrap(self, child: ExprAst, minimum: int) -> str:
+        s, prec = self(child)
         return f"({s})" if prec < minimum else s
 
-    def render(node: ExprAst) -> tuple[str, int]:
-        got = memo.get(id(node))
+    def __call__(self, node: ExprAst) -> tuple[str, int]:
+        got = self.memo.get(id(node))
         if got is not None:
             return got
+        wrap = self.wrap
         if isinstance(node, Num):
             s = _fmt_num(node.value)
         elif isinstance(node, Sym):
@@ -407,7 +414,7 @@ def _renderer(memo: dict, limit: int | None = None, define=None):
         elif isinstance(node, Neg):
             s = "-" + wrap(node.arg, _PREC_UNARY)
         elif isinstance(node, Call):
-            s = f"{node.fn}({render(node.arg)[0]})"
+            s = f"{node.fn}({self(node.arg)[0]})"
         elif isinstance(node, Binary):
             if node.op in "+-":
                 s = f"{wrap(node.left, _PREC_ADD)} {node.op} {wrap(node.right, _PREC_ADD + 1)}"
@@ -418,15 +425,13 @@ def _renderer(memo: dict, limit: int | None = None, define=None):
                 s = f"{wrap(node.left, _PREC_ATOM)}^{wrap(node.right, _PREC_UNARY)}"
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        if keep is not None:
+        if self.keep is not None:
             # the first ``keep`` characters of a parent only ever need the
             # first ``keep`` of each child
-            s = s[:keep]
-        name = None if define is None else define(node, s)
-        got = memo[id(node)] = (s, _prec(node)) if name is None else (name, _PREC_ATOM)
+            s = s[: self.keep]
+        name = None if self.define is None else self.define(node, s)
+        got = self.memo[id(node)] = (s, _prec(node)) if name is None else (name, _PREC_ATOM)
         return got
-
-    return render
 
 
 def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) -> str:
@@ -436,7 +441,7 @@ def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) ->
     characters is cut and marked with "...", and no node is rendered
     longer than that, so the cost stays linear in the DAG however long
     its expansion is."""
-    text = _renderer({} if memo is None else memo, limit)(e)[0]
+    text = _Renderer({} if memo is None else memo, limit)(e)[0]
     if limit is not None and len(text) > limit:
         text = text[:limit] + "..."
     return text
@@ -477,7 +482,7 @@ def to_shared_sources(
         definitions.append([name, text])
         return name
 
-    render = _renderer({}, define=define)
+    render = _Renderer({}, define=define)
     sources = [render(r)[0] for r in roots]
     return definitions, sources
 
@@ -630,7 +635,10 @@ def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
         memo[key] = (node, r)
         return r
 
-    return d(e)
+    try:
+        return d(e)
+    finally:
+        del d  # d refers to itself: unbinding it frees the walk and memo now
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +776,8 @@ def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
         return ev(expr)
     except JetDomainError as err:  # pragma: no cover - defensive
         raise EvalDomainError(str(err), expr) from err
+    finally:
+        del ev  # ev refers to itself: unbinding it frees the walk and memo now
 
 
 def eval_value(expr: ExprAst, point) -> float:

@@ -26,8 +26,10 @@ tension of a metric against itself exactly zero.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
-verdict.  A sampled verdict never claims global harmonicity, hence the
-wording "harmonic-on-samples".
+verdict.  Each metric is evaluated once per batch of candidate points:
+the jets that screen out degenerate candidates are the jets the residual
+is computed from.  A sampled verdict never claims global harmonicity,
+hence the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .metric import (
     ChartedMetric,
     _check_nondegenerate,
     _checked_inverse,
-    _gamma_from_jets,
-    metric_at,
+    _gamma_from_inverse,
     metric_jets_at,
 )
 
@@ -114,6 +115,8 @@ class HarmonicityReport:
     worst_point: tuple[float, ...]
     per_component_max: tuple[float, ...]
     samples_used: int
+    samples_scanned: int
+    degenerate_rejected: int
     tolerance: float
     seed: int
 
@@ -124,6 +127,8 @@ class HarmonicityReport:
             "worst_point": list(self.worst_point),
             "per_component_max": list(self.per_component_max),
             "samples_used": self.samples_used,
+            "samples_scanned": self.samples_scanned,
+            "degenerate_rejected": self.degenerate_rejected,
             "tolerance": self.tolerance,
             "seed": self.seed,
         }
@@ -160,8 +165,15 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     _require_same_chart(g, ghat)
     G, dG, _ = metric_jets_at(g, x, order=1)
     Gh, dGh, _ = metric_jets_at(ghat, x, order=1)
-    ginv = _checked_inverse(G, x)
+    _check_nondegenerate(G, x)
     _check_nondegenerate(Gh, x)
+    return _identity_tension(G, dG, Gh, dGh)
+
+
+def _identity_tension(G, dG, Gh, dGh) -> np.ndarray:
+    """The tension of :func:`tension_identity_at` from first jets of both
+    metrics, which the caller has screened for degeneracy."""
+    ginv = np.linalg.inv(G)
     c = _contracted_christoffel(ginv, dG)
     c_hat = _contracted_christoffel(ginv, dGh)
     v = np.einsum("...kl,...l->...k", ginv, c)
@@ -205,9 +217,10 @@ def tension_map_at(
             )
 
     G, dG, _ = metric_jets_at(g, x, order=1)
-    gamma, ginv, _ = _gamma_from_jets(G, dG, x)
+    ginv = _checked_inverse(G, x)
+    gamma, _ = _gamma_from_inverse(ginv, dG)
     Gh, dGh, _ = metric_jets_at(h, y, order=1)
-    gamma_h, _, _ = _gamma_from_jets(Gh, dGh, y)
+    gamma_h, _ = _gamma_from_inverse(_checked_inverse(Gh, y), dGh)
 
     nabla = (
         d2phi
@@ -255,39 +268,66 @@ def shared_domain(g: ChartedMetric, ghat: ChartedMetric):
 
 
 def _collect_samples(
-    g: ChartedMetric, ghat: ChartedMetric, domain, samples: int, seed: int
-) -> np.ndarray:
+    g: ChartedMetric, ghat: ChartedMetric, domain, samples: int, seed: int, order: int
+):
     """First ``samples`` lattice points of the box ``domain`` whose leading
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
-    most 10x candidates.  ``domain`` is the shared box, or for a lift the
-    shared box times the fiber box."""
+    most 10x candidates, with both metrics' jets there.
+
+    Each candidate batch takes one ``metric_jets_at`` pass per metric, to
+    ``order``; the screen |det G| > 1e-12 reads the G of those jets, and
+    the kept rows' jets are what the residual runs on, so no metric is
+    evaluated twice at a point.  When the whole batch is kept its arrays
+    are returned as they are.  ``domain`` is the shared box, or for a lift
+    the shared box times the fiber box.
+
+    Returns ``(points, jets, hat_jets, scanned, rejected)``: ``jets`` and
+    ``hat_jets`` are ``(G, dG, d2G)`` of ``g`` and ``ghat`` at the kept
+    points (``d2G`` is None for ``order=1``), and ``rejected`` of the
+    ``scanned`` candidates failed the screen.
+    """
     m = g.dim
-    kept = []
-    count = start = 0
+    batches = []
+    count = scanned = rejected = 0
     limit = 10 * samples
-    while count < samples and start < limit:
-        cand = lattice_points(domain, min(samples, limit - start), seed, start=start)
-        start += cand.shape[0]
-        base = cand[:, :m]
-        ok = (np.abs(np.linalg.det(metric_at(g, base))) > DEGENERACY_EPS) & (
-            np.abs(np.linalg.det(metric_at(ghat, base))) > DEGENERACY_EPS
+    while count < samples and scanned < limit:
+        cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
+        scanned += cand.shape[0]
+        jets = metric_jets_at(g, cand[:, :m], order)
+        hat_jets = metric_jets_at(ghat, cand[:, :m], order)
+        ok = (np.abs(np.linalg.det(jets[0])) > DEGENERACY_EPS) & (
+            np.abs(np.linalg.det(hat_jets[0])) > DEGENERACY_EPS
         )
-        kept.append(cand[ok][: samples - count])
-        count += kept[-1].shape[0]
+        keep = np.flatnonzero(ok)
+        rejected += cand.shape[0] - keep.size
+        keep = keep[: samples - count]
+        batch = (cand,) + jets + hat_jets
+        if keep.size < cand.shape[0]:
+            batch = tuple(None if a is None else a[keep] for a in batch)
+        batches.append(batch)
+        count += keep.size
     if count < samples:
         raise SamplingExhausted(
             f"only {count} of {samples} sample points were nondegenerate "
-            f"after scanning {start} candidates"
+            f"after scanning {scanned} candidates"
         )
-    return np.concatenate(kept)
+    if len(batches) == 1:
+        out = batches[0]
+    else:
+        out = tuple(
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*batches)
+        )
+    return out[0], out[1:4], out[4:7], scanned, rejected
 
 
 def _sampled_report(
-    g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
+    g: ChartedMetric, ghat: ChartedMetric, domain, order, residual, samples, tol, seed
 ) -> HarmonicityReport:
-    """Shared core of the sampled checks: ``residual`` maps the kept
-    points ``(N, d)`` to residuals ``(N, c)``; the report gives the worst
-    absolute residual (first sample on ties) and the per-component maxima."""
+    """Shared core of the sampled checks: ``residual(points, jets,
+    hat_jets)`` maps the kept points ``(N, d)`` and both metrics' jets
+    there, to ``order`` (see :func:`_collect_samples`), to residuals
+    ``(N, c)``; the report gives the worst absolute residual (first sample
+    on ties) and the per-component maxima."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
@@ -295,8 +335,10 @@ def _sampled_report(
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _require_same_chart(g, ghat)
-    pts = _collect_samples(g, ghat, domain, samples, seed)
-    abs_r = np.abs(residual(pts))
+    pts, jets, hat_jets, scanned, rejected = _collect_samples(
+        g, ghat, domain, samples, seed, order
+    )
+    abs_r = np.abs(residual(pts, jets, hat_jets))
     bad = np.argwhere(~np.isfinite(abs_r))
     if bad.size:
         i, c = bad[0]
@@ -314,6 +356,8 @@ def _sampled_report(
         worst_point=tuple(float(v) for v in pts[worst]),
         per_component_max=tuple(float(v) for v in abs_r.max(axis=0)),
         samples_used=int(pts.shape[0]),
+        samples_scanned=scanned,
+        degenerate_rejected=rejected,
         tolerance=float(tol),
         seed=int(seed),
     )
@@ -332,7 +376,8 @@ def check_harmonic(
         g,
         ghat,
         shared_domain(g, ghat),
-        lambda pts: tension_identity_at(g, ghat, pts),
+        1,
+        lambda pts, jets, hat: _identity_tension(jets[0], jets[1], hat[0], hat[1]),
         samples,
         tol,
         seed,

@@ -10,10 +10,12 @@ supported, each in two presentations:
   the Sasaki lift on T*M that frame is the adapted frame
   ``{delta_i, d/dfiber^i}`` built from the base connection; for the
   complete lift it is the induced coordinate frame itself.  The blocks
-  are evaluated batched over bundle points, from one second-jet pass of
-  the base metric per batch; ``lift_blocks_at`` and ``lifted_tension_at``
-  are its single-point views, and ``check_lift_conditions`` runs it on
-  fixed-size slices of the sampled points.
+  are evaluated batched over bundle points, from second jets of the base
+  metric; ``lift_blocks_at`` and ``lifted_tension_at`` take their own
+  jets at the points they are given.  ``check_lift_conditions`` takes the
+  jets of each metric once per sample batch, from the sampler's
+  degeneracy screen, and forms the connection and blocks on fixed-size
+  slices of them.
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
   component trees and their derivatives, with no simplification beyond
@@ -53,7 +55,8 @@ from .exprlang import ExprAst
 from .harmonic import _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
-    _connection_from_jets,
+    _check_nondegenerate,
+    _connection_from_inverse,
     _riemann,
     christoffel_and_derivative_at,
     metric_jets_at,
@@ -76,9 +79,11 @@ __all__ = [
     "check_lift_conditions",
 ]
 
-# Bundle points per batched block evaluation in ``check_lift_conditions``:
-# the (N, m, 2m, 2m) block arrays of one unbounded 64-point batch raised
-# peak memory by a fifth; small slices keep it at the per-point level.
+# Bundle points per connection and block evaluation in
+# ``check_lift_conditions``; the jets come once per sample batch.  The
+# (N, m, 2m, 2m) block arrays of a whole 64-point batch raised peak memory
+# by a fifth, and its connection would hold another m^4 floats per point
+# and metric, so both are formed per slice.
 LIFT_SLICE_POINTS = 8
 
 
@@ -144,15 +149,25 @@ def _bundle_box(base_box, m: int, fiber_interval):
     return tuple(base_box) + tuple((float(lo), float(hi)) for _ in range(m))
 
 
-def _lift_blocks(g: ChartedMetric, kind: LiftKind, x, w):
-    """Batched lift blocks at bundle points ``(x, w)`` of shape ``(..., m)``:
-    ``(metric, inverse, gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)``
-    and ``(..., m, 2m, 2m)``, from one second-jet pass of ``g``."""
-    m = g.dim
-    if x.shape[-1] != m:
+def _base_jets(g: ChartedMetric, x):
+    """Second jets ``(G, dG, d2G)`` of ``g`` at base points ``x``; raises
+    :class:`MetricDegenerate` where |det G| <= 1e-12."""
+    if x.shape[-1] != g.dim:
         raise ValueError("fiber point dimension does not match the chart")
-    G, dG, d2G = metric_jets_at(g, x, order=2)
-    gamma, dgamma, ginv = _connection_from_jets(G, dG, d2G, x)
+    jets = metric_jets_at(g, x, order=2)
+    _check_nondegenerate(jets[0], x)
+    return jets
+
+
+def _lift_blocks(kind: LiftKind, G, dG, d2G, w):
+    """Batched lift blocks at bundle points with fiber part ``w`` of shape
+    ``(..., m)``, from the base metric's second jets at their base points
+    (screened for degeneracy by the caller): ``(metric, inverse,
+    gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)`` and
+    ``(..., m, 2m, 2m)``."""
+    m = G.shape[-1]
+    ginv = np.linalg.inv(G)
+    gamma, dgamma = _connection_from_inverse(ginv, dG, d2G)
     batch = G.shape[:-2]
     metric = np.zeros(batch + (2 * m, 2 * m))
     inverse = np.zeros_like(metric)
@@ -207,14 +222,17 @@ def _lift_blocks(g: ChartedMetric, kind: LiftKind, x, w):
 def lift_blocks_at(g: ChartedMetric, kind: LiftKind, q: FiberPoint) -> LiftBlocks:
     """Metric, inverse and Christoffel blocks of the lifted metric at a
     bundle point, in the frame reported by ``kind.frame``."""
-    return LiftBlocks(kind, kind.frame, *_lift_blocks(g, kind, q.base, q.fiber))
+    blocks = _lift_blocks(kind, *_base_jets(g, q.base), q.fiber)
+    return LiftBlocks(kind, kind.frame, *blocks)
 
 
-def _lifted_tension(g, ghat, kind, x, w):
-    """Batched ``(base, fiber)`` trace residuals at bundle points ``(x, w)``."""
-    m = g.dim
-    _, inverse, gb, gf = _lift_blocks(g, kind, x, w)
-    _, _, gb_hat, gf_hat = _lift_blocks(ghat, kind, x, w)
+def _lifted_tension(kind, jets, hat_jets, w):
+    """Batched ``(base, fiber)`` trace residuals at bundle points with
+    fiber part ``w``, from second jets of both metrics at their base
+    points."""
+    m = w.shape[-1]
+    _, inverse, gb, gf = _lift_blocks(kind, *jets, w)
+    _, _, gb_hat, gf_hat = _lift_blocks(kind, *hat_jets, w)
     contract = inverse
     if kind is LiftKind.HORIZONTAL_TM:
         # the Sasaki-type inverse diag(g^-1, g^-1)
@@ -243,7 +261,9 @@ def lifted_tension_at(
     """
     if g.coords != ghat.coords:
         raise ValueError("lifted pair must share the chart")
-    base, fiber = _lifted_tension(g, ghat, kind, q.base, q.fiber)
+    base, fiber = _lifted_tension(
+        kind, _base_jets(g, q.base), _base_jets(ghat, q.base), q.fiber
+    )
     return LiftedTension(base=base, fiber=fiber)
 
 
@@ -487,23 +507,31 @@ def check_lift_conditions(
     """Sampled verdict on the lifted-harmonicity trace conditions.
 
     Evaluates the trace residuals of ``lifted_tension_at`` on a
-    deterministic lattice of bundle points (shared base box x fiber box),
-    batched ``LIFT_SLICE_POINTS`` points at a time, and reports the worst
-    residual over both output families; ``per_component_max`` lists the
-    m base components followed by the m fiber components.  Bundle points
-    whose base projection makes either metric near-degenerate are
-    skipped and replaced, up to 10x oversampling.
+    deterministic lattice of bundle points (shared base box x fiber box)
+    and reports the worst residual over both output families;
+    ``per_component_max`` lists the m base components followed by the m
+    fiber components.  Bundle points whose base projection makes either
+    metric near-degenerate are skipped and replaced, up to 10x
+    oversampling.  The second jets of each metric come from the sampler,
+    one pass per candidate batch; the connection and the blocks are
+    formed ``LIFT_SLICE_POINTS`` points at a time.
     """
     m = g.dim
 
-    def residual(pts):
+    def residual(pts, jets, hat_jets):
         out = np.empty((pts.shape[0], 2 * m))
         for s in range(0, pts.shape[0], LIFT_SLICE_POINTS):
-            chunk = pts[s : s + LIFT_SLICE_POINTS]
-            out[s : s + LIFT_SLICE_POINTS] = np.concatenate(
-                _lifted_tension(g, ghat, kind, chunk[:, :m], chunk[:, m:]), axis=-1
+            rows = slice(s, s + LIFT_SLICE_POINTS)
+            out[rows] = np.concatenate(
+                _lifted_tension(
+                    kind,
+                    [a[rows] for a in jets],
+                    [a[rows] for a in hat_jets],
+                    pts[rows, m:],
+                ),
+                axis=-1,
             )
         return out
 
     domain = _bundle_box(shared_domain(g, ghat), m, fiber_interval)
-    return _sampled_report(g, ghat, domain, residual, samples, tol, seed)
+    return _sampled_report(g, ghat, domain, 2, residual, samples, tol, seed)

@@ -261,27 +261,29 @@ def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
     return _checked_inverse(metric_at(g, x), x)
 
 
-def _gamma_from_jets(G, dG, x):
-    ginv = _checked_inverse(G, x)
+def _gamma_from_inverse(ginv, dG):
+    """``(gamma, C)`` from g's inverse and first jets, with C the
+    Christoffel symbols of the first kind."""
     # C[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
     di_gjl = np.einsum("...jli->...lij", dG)
     dj_gil = np.einsum("...ilj->...lij", dG)
     dl_gij = np.einsum("...ijl->...lij", dG)
     C = di_gjl + dj_gil - dl_gij
     gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, C)
-    return gamma, ginv, C
+    return gamma, C
 
 
 def christoffel_at(g: ChartedMetric, x) -> ChristoffelSet:
     """Levi-Civita symbols from first jets of the components."""
     G, dG, _ = metric_jets_at(g, x, order=1)
-    gamma, _, _ = _gamma_from_jets(G, dG, x)
+    gamma, _ = _gamma_from_inverse(_checked_inverse(G, x), dG)
     return ChristoffelSet(gamma)
 
 
-def _connection_from_jets(G, dG, d2G, x):
-    """``(gamma, dgamma, ginv)`` from second jets of the components."""
-    gamma, ginv, C = _gamma_from_jets(G, dG, x)
+def _connection_from_inverse(ginv, dG, d2G):
+    """``(gamma, dgamma)`` from g's inverse and second jets of the
+    components; the caller has screened G for degeneracy."""
+    gamma, C = _gamma_from_inverse(ginv, dG)
     # d_p g^{kl} = -g^{ka} (d_p g_ab) g^{bl}, contracted over a, then b:
     # two O(m^4) steps per point instead of one O(m^5) loop
     dginv = np.einsum("...ka,...abp->...kbp", ginv, dG)
@@ -295,15 +297,15 @@ def _connection_from_jets(G, dG, d2G, x):
         np.einsum("...klp,...lij->...kijp", dginv, C)
         + np.einsum("...kl,...lijp->...kijp", ginv, dC)
     )
-    return gamma, dgamma, ginv
+    return gamma, dgamma
 
 
 def christoffel_and_derivative_at(g: ChartedMetric, x):
     """``(gamma, dgamma)`` with ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
     computed from exact second jets (needed by curvature and the
     fiber-contracted blocks of complete lifts)."""
-    gamma, dgamma, _ = _connection_from_jets(*metric_jets_at(g, x, order=2), x)
-    return gamma, dgamma
+    G, dG, d2G = metric_jets_at(g, x, order=2)
+    return _connection_from_inverse(_checked_inverse(G, x), dG, d2G)
 
 
 def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

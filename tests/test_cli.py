@@ -133,6 +133,28 @@ class TestCheck:
         doc = json.loads(out_a)
         assert doc["samples_used"] == 8 and doc["seed"] == 7
 
+    @pytest.mark.parametrize("lift", ["none", "sasaki-tm", "sasaki-ctm"])
+    def test_report_counts_scanned_and_rejected_candidates(self, tmp_path, capsys, lift):
+        # det = x1^8 is at most 1e-12 on |x1| <= 10^-1.5, a sixth of the box
+        banded = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["x1^8", "0"], ["0", "1"]],
+            "hat_metric": [["2*x1^8", "0"], ["0", "1"]],
+            "domain": [[-0.1, 0.3], [-1, 1]],
+            "samples": 32,
+            "lift": lift,
+        }
+        counts = []
+        for doc in (egorov_manifest(samples=32, lift=lift), banded):
+            _, out = run_cli(capsys, "check", "--manifest",
+                             write_manifest(tmp_path, "m.json", doc))
+            doc = strict_json(out)
+            assert doc["samples_used"] == 32
+            counts.append((doc["samples_scanned"], doc["degenerate_rejected"]))
+        assert counts[0] == (32, 0)
+        scanned, rejected = counts[1]
+        assert scanned == 64 and 0 < rejected <= 32
+
     @pytest.mark.parametrize("kind", ["sasaki-tm", "horizontal-tm", "complete-tm",
                                       "sasaki-ctm"])
     def test_lift_flag_checks_block_conditions(self, tmp_path, capsys, kind):

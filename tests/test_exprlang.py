@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -486,3 +488,72 @@ def test_error_text_is_capped():
     assert culprit.startswith("log(0 - (1 + x1)*(1 + x1)*((1 + x1)*(1 + x1))")
     assert to_source(Neg(Sym(0, "x1")), limit=ex.CULPRIT_CHARS) == "-x1"
 
+
+
+# Each walker memoizes by node identity.  It must free its memo when it
+# returns, not leave it in a reference cycle for the garbage collector:
+# for a batch evaluation the memo holds every intermediate jet array.
+
+
+@pytest.fixture
+def no_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class _Tracked:
+    """Operand that keeps a weak reference to every value it makes."""
+
+    made: list = []
+
+    def __init__(self, v):
+        self.v = v
+        _Tracked.made.append(weakref.ref(self))
+
+    def __add__(self, other):
+        return _Tracked(self.v + other.v)
+
+    def __mul__(self, other):
+        return _Tracked(self.v * other.v)
+
+
+class _Name(str):
+    """A symbol name that can be weakly referenced."""
+
+
+def test_evaluate_frees_its_memo_on_return(no_gc):
+    _Tracked.made = []
+    e = parse_expression("x1*x2 + x1", ["x1", "x2"])
+    out = ex.evaluate(e, [_Tracked(2.0), _Tracked(3.0)])
+    assert out.v == 8.0
+    product = _Tracked.made[2]  # x1*x2, memoized on the way to the sum
+    assert product() is None
+
+
+def test_differentiate_frees_its_memo_on_return(no_gc):
+    x1, x2 = Sym(0, "x1"), Sym(1, "x2")
+    e = Binary("*", x2, x1)
+    node = weakref.ref(e)  # the memo keeps each node with its derivative
+    d = ex.differentiate(e, 0)
+    del e
+    assert d is x2
+    assert node() is None
+
+
+@pytest.mark.parametrize(
+    "render",
+    [lambda e: to_source(e), lambda e: ex.to_shared_sources([e], ())[1][0]],
+    ids=["to_source", "to_shared_sources"],
+)
+def test_printer_frees_its_memo_on_return(no_gc, render):
+    name = _Name("x1")
+    e = Neg(Sym(0, name))
+    text = weakref.ref(name)  # the memoized text of the symbol node
+    del name
+    assert render(e) == "-x1"
+    del e
+    assert text() is None
