@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -383,6 +384,7 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
     return 0, _dump(doc)
 
 
+@functools.cache  # built on first use, then reused: parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="metriclift",

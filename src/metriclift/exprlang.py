@@ -788,8 +788,9 @@ def eval_value(expr: ExprAst, point) -> float:
 
 
 def eval_jet2(expr: ExprAst, point) -> Jet2:
-    """Value, gradient and Hessian at a point, all exact."""
+    """Value, gradient and Hessian at a point, all exact; full width
+    (``grad[..., k]`` is the derivative in variable ``k``)."""
     pt = np.asarray(point, dtype=float)
     m = pt.shape[-1]
-    env = [Jet2.variable(pt[..., i], i, m) for i in range(m)]
+    env = [Jet2.coordinate(pt[..., i], i) for i in range(m)]
     return as_jet2(evaluate(expr, env), pt.shape[:-1], m)

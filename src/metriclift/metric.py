@@ -24,7 +24,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
-from .jets import Jet2, as_jet2
+from .jets import Jet2
 
 __all__ = [
     "ChartedMetric",
@@ -217,22 +217,28 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     Returns ``(G, dG, d2G)`` with ``dG[..., i, j, k] = d_k g_ij`` and
     ``d2G[..., i, j, k, l] = d_k d_l g_ij`` (``d2G`` is ``None`` for
     ``order=1``).  Shared subtrees across components are evaluated once.
+    Each component is differentiated only in the coordinates it depends
+    on (its jet's support); its other derivatives stay exact zeros.
     """
     pt = _point_env(g, x)
     m = g.dim
-    env = [Jet2.variable(pt[..., i], i, m, order) for i in range(m)]
+    env = [Jet2.coordinate(pt[..., i], i, order) for i in range(m)]
     memo: dict = {}
     base = pt.shape[:-1]
     G = np.empty(base + (m, m))
-    dG = np.empty(base + (m, m, m))
-    d2G = np.empty(base + (m, m, m, m)) if order >= 2 else None
+    dG = np.zeros(base + (m, m, m))
+    d2G = np.zeros(base + (m, m, m, m)) if order >= 2 else None
     for i in range(m):
         for j in range(i, m):
-            out = as_jet2(ex.evaluate(g.components[i][j], env, memo), base, m, order)
+            out = ex.evaluate(g.components[i][j], env, memo)
+            if not isinstance(out, Jet2):  # a constant entry
+                G[..., i, j] = G[..., j, i] = out
+                continue
             G[..., i, j] = G[..., j, i] = out.value
-            dG[..., i, j, :] = dG[..., j, i, :] = out.grad
+            s = np.array(out.support)
+            dG[..., i, j, s] = dG[..., j, i, s] = out.grad
             if order >= 2:
-                d2G[..., i, j, :, :] = d2G[..., j, i, :, :] = out.hess
+                d2G[..., i, j, s[:, None], s] = d2G[..., j, i, s[:, None], s] = out.hess
     return G, dG, d2G
 
 

@@ -193,6 +193,28 @@ class TestCheck:
         assert code == 2
         assert "error" in strict_json(out)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lift", ["none", "sasaki-tm", "complete-tm"])
+    def test_overflow_in_entry_free_of_a_coordinate_is_non_finite(
+        self, tmp_path, capsys, lift
+    ):
+        # g11 overflows for x1 > 0.887 and does not depend on x2: its x2
+        # derivatives are exact zeros, never 0*inf, and the residual that
+        # the overflow makes non-finite is still reported
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["exp(800*x1)", "0"], ["0", "1 + x2^2"]],
+            "hat_metric": [["2", "0"], ["0", "1 + x2^2"]],
+            "samples": 64,
+            "seed": 3,
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path, "--lift", lift)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "NonFiniteResidual"
+        assert err["message"].startswith("residual component 1 is not finite")
+
     def test_infinite_sample_count_exits_two(self, tmp_path, capsys):
         # int(inf) raises OverflowError, not ValueError
         path = write_manifest(tmp_path, "m.json", egorov_manifest(samples=float("inf")))
@@ -584,6 +606,26 @@ class TestDeterminism:
         _, a = run_cli(capsys, "check", "--manifest", path)
         _, b = run_cli(capsys, "check", "--manifest", path)
         assert a == b
+
+    def test_reused_parser_carries_no_flag_over(self, tmp_path, capsys):
+        path = write_manifest(tmp_path, "m.json", egorov_manifest(fhat="2*exp(x3)"))
+        calls = [
+            ["check", "--manifest", path, "--lift", "sasaki-tm", "--samples", "8"],
+            ["check", "--manifest", path],
+            ["check", "--manifest", path, "--samples", "16"],
+            ["lift", "--manifest", path, "--lift", "complete-tm"],
+            ["check", "--manifest", path],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        cli._build_parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        # the flags mattered: the plain check differs from both flagged ones
+        assert len({out for _, out in fresh[:3]}) == 3
 
     def test_console_entry_point_byte_identical(self, tmp_path):
         path = write_manifest(tmp_path, "m.json", egorov_manifest())

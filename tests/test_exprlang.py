@@ -21,6 +21,7 @@ from metriclift.exprlang import (
     parse_expression,
     to_source,
 )
+from metriclift.jets import Jet2, as_jet2
 
 
 class TestParsing:
@@ -359,6 +360,72 @@ def test_reparse_evaluates_bit_identically(e, point):
         lambda: ex.evaluate(e, list(point))
     )
     assert _outcome(lambda: eval_jet2(back, point)) == _outcome(lambda: eval_jet2(e, point))
+
+
+def _symbols(e) -> set:
+    """Indices of the variables a tree contains."""
+    seen, stack, out = set(), [e], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Sym):
+                out.add(node.index)
+            stack.extend(ex._children(node))
+    return out
+
+
+def _full_width_jet(e, point):
+    """The reference: every rule over both variables, from full-width seeds."""
+    env = [Jet2.variable(v, i, len(point)) for i, v in enumerate(point)]
+    return as_jet2(ex.evaluate(e, env), (), len(point))
+
+
+def _assert_sparse_matches_full(e, point):
+    try:
+        with np.errstate(all="ignore"):
+            full = _full_width_jet(e, point)
+    except (ArithmeticError, ValueError) as err:
+        with pytest.raises(type(err)) as again:
+            with np.errstate(all="ignore"):
+                eval_jet2(e, point)
+        assert str(again.value) == str(err)
+        return
+    with np.errstate(all="ignore"):
+        sparse = eval_jet2(e, point)  # support-sparse, widened to full width
+    assert sparse.value.tobytes() == full.value.tobytes()
+    absent = [k for k in range(len(point)) if k not in _symbols(e)]
+    for s, f in ((sparse.grad, full.grad), (sparse.hess, full.hess)):
+        # a variable the tree lacks has exact zero derivatives, where the
+        # full-width rules may have met 0*inf after an overflow
+        assert not s[absent].any() and not s[..., absent].any()
+        assert np.all((f[absent] == 0) | np.isnan(f[absent]))
+        # off NaN they agree (up to the sign of zero): a NaN from a 0*inf
+        # in a subtree lacking a variable reaches only NaN entries of f
+        seen = ~np.isnan(f)
+        assert np.array_equal(s[seen], f[seen])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.0)]))
+def test_support_sparse_jets_match_full_width_ones(e, point):
+    _assert_sparse_matches_full(e, point)
+
+
+@pytest.mark.parametrize(
+    "source, point",
+    [
+        ("exp(1000*x1)*x2", (1.0, 0.5)),  # full width: d/dx2 = inf + 0*inf = NaN
+        ("x2 + 0*exp(1000*x1)", (1.0, 0.5)),
+        ("exp(1000*x1) + sin(x1)", (1.0, 0.5)),  # x2 absent: NaN against 0
+    ],
+)
+def test_support_sparse_jets_after_overflow(source, point):
+    e = parse_expression(source, ["x1", "x2"])
+    _assert_sparse_matches_full(e, point)
+    with np.errstate(all="ignore"):
+        sparse, full = eval_jet2(e, point), _full_width_jet(e, point)
+    assert np.isnan(full.grad[1]) and not np.isnan(sparse.grad[1])
 
 
 # Trees for the jet/finite-difference property: the node kinds above, with

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
+from metriclift import exprlang as ex
+from metriclift.jets import Jet2, as_jet2
+from metriclift.lifts import LiftKind, lift_to_chart
 from metriclift.metric import (
     ChartedMetric,
     MetricDegenerate,
@@ -12,7 +15,14 @@ from metriclift.metric import (
     metric_at,
     metric_jets_at,
 )
-from conftest import GALLERY_METRICS, dense_metric, domain_points, fd_christoffel
+from conftest import (
+    GALLERY_METRICS,
+    HARMONIC_PAIRS,
+    NON_HARMONIC_PAIRS,
+    dense_metric,
+    domain_points,
+    fd_christoffel,
+)
 
 FLAT2 = ChartedMetric.from_strings(
     ["x1", "x2"], [["1", "0"], ["0", "1"]], [(-1, 1), (-1, 1)]
@@ -59,6 +69,37 @@ class TestPointwiseMatrices:
             inverse_metric_at(g, [0.0, 0.5])
         assert exc.value.det == 0.0
         assert np.array_equal(exc.value.point, [0.0, 0.5])
+
+
+# Every chart of the pair tables (both metrics), dense m=2..7, and the
+# Sasaki-TM lift of Egorov m=3, whose 6 coordinates meet in shared
+# subtrees of mixed supports.
+JET_CHARTS = (
+    [(f"{name}-{side}", g) for name, *pair in HARMONIC_PAIRS + NON_HARMONIC_PAIRS
+     for side, g in zip(("g", "hat"), pair)]
+    + [(f"dense-m{m}", dense_metric(m)) for m in range(2, 8)]
+    + [("egorov-m3-sasaki-tm", lift_to_chart(egorov_metric(EgorovSpec(3, "exp(x3)")),
+                                             LiftKind.SASAKI_TM))]
+)
+
+
+class TestMetricJets:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("g", [g for _, g in JET_CHARTS], ids=[n for n, _ in JET_CHARTS])
+    def test_support_sparse_jets_equal_full_width_ones(self, g, order):
+        # reference: each component on its own, from full-width seeds
+        x = domain_points(g, 16)
+        m = g.dim
+        env = [Jet2.variable(x[:, i], i, m, order) for i in range(m)]
+        G, dG, d2G = metric_jets_at(g, x, order)
+        assert (d2G is None) == (order == 1)
+        for i in range(m):
+            for j in range(m):
+                ref = as_jet2(ex.evaluate(g.components[i][j], env), x.shape[:-1], m, order)
+                assert np.array_equal(G[:, i, j], ref.value)
+                assert np.array_equal(dG[:, i, j], ref.grad)
+                if order == 2:
+                    assert np.array_equal(d2G[:, i, j], ref.hess)
 
 
 class TestChristoffel:
