@@ -360,8 +360,8 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
     x = _parse_point(args.at, g.dim)
     G = metric_at(g, x)
     Ginv = inverse_metric_at(g, x)
-    gamma = christoffel_at(g, x).array
-    riem = curvature_at(g, x).array
+    gamma = christoffel_at(g, x)
+    riem = curvature_at(g, x)
     nonzero = {}
     m = g.dim
     for k in range(m):

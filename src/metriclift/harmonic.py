@@ -268,23 +268,22 @@ def shared_domain(g: ChartedMetric, ghat: ChartedMetric):
 
 
 def _collect_samples(
-    g: ChartedMetric, ghat: ChartedMetric, domain, samples: int, seed: int, order: int
+    g: ChartedMetric, ghat: ChartedMetric, domain, samples: int, seed: int
 ):
     """First ``samples`` lattice points of the box ``domain`` whose leading
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
-    most 10x candidates, with both metrics' jets there.
+    most 10x candidates, with both metrics' first jets there.
 
-    Each candidate batch takes one ``metric_jets_at`` pass per metric, to
-    ``order``; the screen |det G| > 1e-12 reads the G of those jets, and
-    the kept rows' jets are what the residual runs on, so no metric is
+    Each candidate batch takes one order-1 ``metric_jets_at`` pass per
+    metric; the screen |det G| > 1e-12 reads the G of those jets, and the
+    kept rows' jets are what the residual runs on, so no metric is
     evaluated twice at a point.  When the whole batch is kept its arrays
     are returned as they are.  ``domain`` is the shared box, or for a lift
     the shared box times the fiber box.
 
     Returns ``(points, jets, hat_jets, scanned, rejected)``: ``jets`` and
-    ``hat_jets`` are ``(G, dG, d2G)`` of ``g`` and ``ghat`` at the kept
-    points (``d2G`` is None for ``order=1``), and ``rejected`` of the
-    ``scanned`` candidates failed the screen.
+    ``hat_jets`` are ``(G, dG)`` of ``g`` and ``ghat`` at the kept points,
+    and ``rejected`` of the ``scanned`` candidates failed the screen.
     """
     m = g.dim
     batches = []
@@ -293,8 +292,8 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        jets = metric_jets_at(g, cand[:, :m], order)
-        hat_jets = metric_jets_at(ghat, cand[:, :m], order)
+        jets = metric_jets_at(g, cand[:, :m], order=1)[:2]
+        hat_jets = metric_jets_at(ghat, cand[:, :m], order=1)[:2]
         ok = (np.abs(np.linalg.det(jets[0])) > DEGENERACY_EPS) & (
             np.abs(np.linalg.det(hat_jets[0])) > DEGENERACY_EPS
         )
@@ -303,7 +302,7 @@ def _collect_samples(
         keep = keep[: samples - count]
         batch = (cand,) + jets + hat_jets
         if keep.size < cand.shape[0]:
-            batch = tuple(None if a is None else a[keep] for a in batch)
+            batch = tuple(a[keep] for a in batch)
         batches.append(batch)
         count += keep.size
     if count < samples:
@@ -314,20 +313,18 @@ def _collect_samples(
     if len(batches) == 1:
         out = batches[0]
     else:
-        out = tuple(
-            None if parts[0] is None else np.concatenate(parts) for parts in zip(*batches)
-        )
-    return out[0], out[1:4], out[4:7], scanned, rejected
+        out = tuple(np.concatenate(parts) for parts in zip(*batches))
+    return out[0], out[1:3], out[3:5], scanned, rejected
 
 
 def _sampled_report(
-    g: ChartedMetric, ghat: ChartedMetric, domain, order, residual, samples, tol, seed
+    g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
 ) -> HarmonicityReport:
     """Shared core of the sampled checks: ``residual(points, jets,
-    hat_jets)`` maps the kept points ``(N, d)`` and both metrics' jets
-    there, to ``order`` (see :func:`_collect_samples`), to residuals
-    ``(N, c)``; the report gives the worst absolute residual (first sample
-    on ties) and the per-component maxima."""
+    hat_jets)`` maps the kept points ``(N, d)`` and both metrics' first
+    jets there (see :func:`_collect_samples`) to residuals ``(N, c)``; the
+    report gives the worst absolute residual (first sample on ties) and
+    the per-component maxima."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
@@ -336,7 +333,7 @@ def _sampled_report(
         raise ValueError("tolerance must be positive")
     _require_same_chart(g, ghat)
     pts, jets, hat_jets, scanned, rejected = _collect_samples(
-        g, ghat, domain, samples, seed, order
+        g, ghat, domain, samples, seed
     )
     abs_r = np.abs(residual(pts, jets, hat_jets))
     bad = np.argwhere(~np.isfinite(abs_r))
@@ -376,8 +373,7 @@ def check_harmonic(
         g,
         ghat,
         shared_domain(g, ghat),
-        1,
-        lambda pts, jets, hat: _identity_tension(jets[0], jets[1], hat[0], hat[1]),
+        lambda pts, jets, hat: _identity_tension(*jets, *hat),
         samples,
         tol,
         seed,

@@ -10,12 +10,7 @@ supported, each in two presentations:
   the Sasaki lift on T*M that frame is the adapted frame
   ``{delta_i, d/dfiber^i}`` built from the base connection; for the
   complete lift it is the induced coordinate frame itself.  The blocks
-  are evaluated batched over bundle points, from second jets of the base
-  metric; ``lift_blocks_at`` and ``lifted_tension_at`` take their own
-  jets at the points they are given.  ``check_lift_conditions`` takes the
-  jets of each metric once per sample batch, from the sampler's
-  degeneracy screen, and forms the connection and blocks on fixed-size
-  slices of them.
+  are formed at one bundle point, from second jets of the base metric.
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
   component trees and their derivatives, with no simplification beyond
@@ -40,6 +35,15 @@ the horizontal-lift condition is contracted against the Sasaki-type
 inverse diag(g^-1, g^-1); contracting against the horizontal metric's
 own inverse yields exactly twice the same quantity (both vanish
 together).
+
+In closed form these traces are the base tension tau at the base point:
+(tau, 0) for sasaki-tm, horizontal-tm and sasaki-ctm, (0, 2 tau) for
+complete-tm.  Every off-diagonal block meets a zero block of the
+contracting inverse, and each curvature block is traced with g^{ij} over
+an index pair in which R is antisymmetric (Yano--Ishihara, *Tangent and
+Cotangent Bundles*, 1973).  ``check_lift_conditions`` therefore computes
+tau from the sampler's first jets and places it by kind; the block
+formulas serve as the oracle of that reduction.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
-from .harmonic import _sampled_report, lattice_points, shared_domain
+from .harmonic import _identity_tension, _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
     _check_nondegenerate,
@@ -78,14 +82,6 @@ __all__ = [
     "fiber_lattice",
     "check_lift_conditions",
 ]
-
-# Bundle points per connection and block evaluation in
-# ``check_lift_conditions``; the jets come once per sample batch.  The
-# (N, m, 2m, 2m) block arrays of a whole 64-point batch raised peak memory
-# by a fifth, and its connection would hold another m^4 floats per point
-# and metric, so both are formed per slice.
-LIFT_SLICE_POINTS = 8
-
 
 class LiftKind(enum.Enum):
     SASAKI_TM = "sasaki-tm"
@@ -160,7 +156,7 @@ def _base_jets(g: ChartedMetric, x):
 
 
 def _lift_blocks(kind: LiftKind, G, dG, d2G, w):
-    """Batched lift blocks at bundle points with fiber part ``w`` of shape
+    """Lift blocks at bundle points with fiber part ``w`` of shape
     ``(..., m)``, from the base metric's second jets at their base points
     (screened for degeneracy by the caller): ``(metric, inverse,
     gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)`` and
@@ -226,24 +222,6 @@ def lift_blocks_at(g: ChartedMetric, kind: LiftKind, q: FiberPoint) -> LiftBlock
     return LiftBlocks(kind, kind.frame, *blocks)
 
 
-def _lifted_tension(kind, jets, hat_jets, w):
-    """Batched ``(base, fiber)`` trace residuals at bundle points with
-    fiber part ``w``, from second jets of both metrics at their base
-    points."""
-    m = w.shape[-1]
-    _, inverse, gb, gf = _lift_blocks(kind, *jets, w)
-    _, _, gb_hat, gf_hat = _lift_blocks(kind, *hat_jets, w)
-    contract = inverse
-    if kind is LiftKind.HORIZONTAL_TM:
-        # the Sasaki-type inverse diag(g^-1, g^-1)
-        contract = np.zeros_like(inverse)
-        contract[..., :m, :m] = contract[..., m:, m:] = inverse[..., :m, m:]
-    return (
-        np.einsum("...ab,...kba->...k", contract, gb_hat - gb),
-        np.einsum("...ab,...kba->...k", contract, gf_hat - gf),
-    )
-
-
 def lifted_tension_at(
     g: ChartedMetric,
     ghat: ChartedMetric,
@@ -261,10 +239,18 @@ def lifted_tension_at(
     """
     if g.coords != ghat.coords:
         raise ValueError("lifted pair must share the chart")
-    base, fiber = _lifted_tension(
-        kind, _base_jets(g, q.base), _base_jets(ghat, q.base), q.fiber
+    m = g.dim
+    _, inverse, gb, gf = _lift_blocks(kind, *_base_jets(g, q.base), q.fiber)
+    _, _, gb_hat, gf_hat = _lift_blocks(kind, *_base_jets(ghat, q.base), q.fiber)
+    contract = inverse
+    if kind is LiftKind.HORIZONTAL_TM:
+        # the Sasaki-type inverse diag(g^-1, g^-1)
+        contract = np.zeros_like(inverse)
+        contract[:m, :m] = contract[m:, m:] = inverse[:m, m:]
+    return LiftedTension(
+        base=np.einsum("ab,kba->k", contract, gb_hat - gb),
+        fiber=np.einsum("ab,kba->k", contract, gf_hat - gf),
     )
-    return LiftedTension(base=base, fiber=fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -512,26 +498,19 @@ def check_lift_conditions(
     ``per_component_max`` lists the m base components followed by the m
     fiber components.  Bundle points whose base projection makes either
     metric near-degenerate are skipped and replaced, up to 10x
-    oversampling.  The second jets of each metric come from the sampler,
-    one pass per candidate batch; the connection and the blocks are
-    formed ``LIFT_SLICE_POINTS`` points at a time.
+    oversampling.  The residuals come in closed form (see the module
+    docstring): the base tension tau from the sampler's first jets at the
+    base projections, placed as (tau, 0), or (0, 2 tau) for complete-tm.
     """
+    if not isinstance(kind, LiftKind):
+        raise ValueError(f"unknown lift kind: {kind!r}")
     m = g.dim
+    complete = kind is LiftKind.COMPLETE_TM
 
     def residual(pts, jets, hat_jets):
-        out = np.empty((pts.shape[0], 2 * m))
-        for s in range(0, pts.shape[0], LIFT_SLICE_POINTS):
-            rows = slice(s, s + LIFT_SLICE_POINTS)
-            out[rows] = np.concatenate(
-                _lifted_tension(
-                    kind,
-                    [a[rows] for a in jets],
-                    [a[rows] for a in hat_jets],
-                    pts[rows, m:],
-                ),
-                axis=-1,
-            )
-        return out
+        tau = _identity_tension(*jets, *hat_jets)
+        zero = np.zeros_like(tau)
+        return np.concatenate((zero, 2.0 * tau) if complete else (tau, zero), axis=-1)
 
     domain = _bundle_box(shared_domain(g, ghat), m, fiber_interval)
-    return _sampled_report(g, ghat, domain, 2, residual, samples, tol, seed)
+    return _sampled_report(g, ghat, domain, residual, samples, tol, seed)

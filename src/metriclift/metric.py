@@ -28,8 +28,6 @@ from .jets import Jet2
 
 __all__ = [
     "ChartedMetric",
-    "ChristoffelSet",
-    "CurvatureField",
     "MetricDegenerate",
     "DEGENERACY_EPS",
     "metric_at",
@@ -161,32 +159,6 @@ def shared_component_sources(charts: Sequence[ChartedMetric]):
     return definitions, matrices
 
 
-@dataclass(frozen=True)
-class ChristoffelSet:
-    """Levi-Civita connection coefficients, ``array[..., k, i, j]``;
-    symmetric in (i, j) exactly."""
-
-    array: np.ndarray
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.array[..., k, :, :]
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[-1]
-
-
-@dataclass(frozen=True)
-class CurvatureField:
-    """Curvature components ``array[..., k, i, j, h]`` of R(e_i,e_j)e_h."""
-
-    array: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[-1]
-
-
 def _point_env(g: ChartedMetric, x) -> np.ndarray:
     pt = np.asarray(x, dtype=float)
     if pt.shape[-1] != g.dim:
@@ -279,11 +251,12 @@ def _gamma_from_inverse(ginv, dG):
     return gamma, C
 
 
-def christoffel_at(g: ChartedMetric, x) -> ChristoffelSet:
-    """Levi-Civita symbols from first jets of the components."""
+def christoffel_at(g: ChartedMetric, x) -> np.ndarray:
+    """Levi-Civita symbols ``gamma[..., k, i, j]`` from first jets of the
+    components; symmetric in (i, j) exactly."""
     G, dG, _ = metric_jets_at(g, x, order=1)
     gamma, _ = _gamma_from_inverse(_checked_inverse(G, x), dG)
-    return ChristoffelSet(gamma)
+    return gamma
 
 
 def _connection_from_inverse(ginv, dG, d2G):
@@ -321,6 +294,7 @@ def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return (P - np.swapaxes(P, -3, -2)) + (Q - np.swapaxes(Q, -3, -2))
 
 
-def curvature_at(g: ChartedMetric, x) -> CurvatureField:
-    """Curvature tensor R^k_{ijh}; antisymmetry in (i, j) is exact."""
-    return CurvatureField(_riemann(*christoffel_and_derivative_at(g, x)))
+def curvature_at(g: ChartedMetric, x) -> np.ndarray:
+    """Curvature tensor ``riem[..., k, i, j, h]`` = R^k_{ijh}; antisymmetry
+    in (i, j) is exact."""
+    return _riemann(*christoffel_and_derivative_at(g, x))

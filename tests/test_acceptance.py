@@ -146,7 +146,7 @@ def test_acceptance_4_complete_lift_block_vs_generic():
         for q in fiber_lattice(g, 32, seed=11):
             xq = q.chart_point()
             blocks = lift_blocks_at(g, LiftKind.COMPLETE_TM, q)
-            gam = christoffel_at(lg, xq).array
+            gam = christoffel_at(lg, xq)
             d1 = np.abs(gam[:m] - blocks.gamma_base).max()
             d2 = np.abs(gam[m:] - blocks.gamma_fiber).max()
             tau = tension_identity_at(lg, lh, xq)
@@ -175,7 +175,7 @@ def test_acceptance_4_adapted_kinds_blocks_vs_generic():
                 dmet = np.abs(
                     Tinv.T @ blocks.metric @ Tinv - metric_at(lifted, xq)
                 ).max()
-                omega = connection_in_frame(christoffel_at(lifted, xq).array, frame)
+                omega = connection_in_frame(christoffel_at(lifted, xq), frame)
                 if kind is LiftKind.HORIZONTAL_TM:
                     # trace content: base family (1,1) block = Gamma, all
                     # other honest base-family blocks vanish
@@ -250,7 +250,7 @@ def test_acceptance_5_derivative_correctness():
     for name, g in GALLERY_METRICS:
         m = g.dim
         for x in domain_points(g, 6, seed=77):
-            gam = christoffel_at(g, x).array
+            gam = christoffel_at(g, x)
             fd = fd_christoffel(g, x, h=h)
             scale = max(1.0, np.abs(fd).max())
             worst_fd = max(worst_fd, np.abs(gam - fd).max() / scale)
@@ -260,18 +260,18 @@ def test_acceptance_5_derivative_correctness():
                 e = np.zeros(m)
                 e[p] = h
                 dgam[..., p] = (
-                    christoffel_at(g, x + e).array - christoffel_at(g, x - e).array
+                    christoffel_at(g, x + e) - christoffel_at(g, x - e)
                 ) / (2 * h)
             P = np.einsum("kjhi->kijh", dgam)
             Q = np.einsum("kil,ljh->kijh", gam, gam)
             fd_riem = (P - np.swapaxes(P, 1, 2)) + (Q - np.swapaxes(Q, 1, 2))
-            R = curvature_at(g, x).array
+            R = curvature_at(g, x)
             scale = max(1.0, np.abs(fd_riem).max())
             worst_fd = max(worst_fd, np.abs(R - fd_riem).max() / scale)
             assert np.abs(R - fd_riem).max() <= 1e-6 * scale, name
 
         pts = domain_points(g, 100, seed=78)
-        R = curvature_at(g, pts).array
+        R = curvature_at(g, pts)
         anti = np.abs(R + np.swapaxes(R, -3, -2)).max()
         assert anti <= 1e-12, name
         bianchi = np.abs(
@@ -279,7 +279,7 @@ def test_acceptance_5_derivative_correctness():
         ).max()
         assert bianchi <= 1e-10, name
         G, dG, _ = metric_jets_at(g, pts, order=1)
-        gam = christoffel_at(g, pts).array
+        gam = christoffel_at(g, pts)
         nabla = (
             np.einsum("nijk->nkij", dG)
             - np.einsum("nlki,nlj->nkij", gam, G)

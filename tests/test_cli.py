@@ -194,13 +194,21 @@ class TestCheck:
         assert "error" in strict_json(out)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("lift", ["none", "sasaki-tm", "complete-tm"])
+    @pytest.mark.parametrize(
+        "lift, component",
+        [
+            pytest.param(lift, component, id=lift)
+            for lift, component in [("none", 1), ("sasaki-tm", 1), ("complete-tm", 3)]
+        ],
+    )
     def test_overflow_in_entry_free_of_a_coordinate_is_non_finite(
-        self, tmp_path, capsys, lift
+        self, tmp_path, capsys, lift, component
     ):
         # g11 overflows for x1 > 0.887 and does not depend on x2: its x2
         # derivatives are exact zeros, never 0*inf, and the residual that
-        # the overflow makes non-finite is still reported
+        # the overflow makes non-finite is still reported.  The complete
+        # lift's residual is (0, 2 tau), so its first non-finite component
+        # is the first fiber one, m + 1 = 3.
         doc = {
             "coordinates": ["x1", "x2"],
             "metric": [["exp(800*x1)", "0"], ["0", "1 + x2^2"]],
@@ -213,7 +221,7 @@ class TestCheck:
         assert code == 2
         err = strict_json(out)["error"]
         assert err["kind"] == "NonFiniteResidual"
-        assert err["message"].startswith("residual component 1 is not finite")
+        assert err["message"].startswith(f"residual component {component} is not finite")
 
     def test_infinite_sample_count_exits_two(self, tmp_path, capsys):
         # int(inf) raises OverflowError, not ValueError

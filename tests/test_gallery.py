@@ -28,7 +28,7 @@ class TestEgorov:
 
     def test_constant_profile_flat_connection(self):
         g = egorov_metric(EgorovSpec(4, "1"))
-        gam = christoffel_at(g, [0.1, 0.2, 0.3, 0.4]).array
+        gam = christoffel_at(g, [0.1, 0.2, 0.3, 0.4])
         assert np.array_equal(gam, np.zeros((4, 4, 4)))
 
     def test_determinant_oracle_m5(self):
@@ -88,7 +88,7 @@ class TestEgorov:
 class TestWalker:
     def test_zero_functions_flat(self):
         g = walker_metric(WalkerSpec("0", "0", "0"))
-        gam = christoffel_at(g, [0.3, -0.3, 0.9, -0.9]).array
+        gam = christoffel_at(g, [0.3, -0.3, 0.9, -0.9])
         assert np.array_equal(gam, np.zeros((4, 4, 4)))
 
     def test_det_is_one_everywhere(self):
@@ -99,7 +99,7 @@ class TestWalker:
     def test_christoffels_match_finite_differences(self):
         g = walker_metric(WalkerSpec("x1", "x2", "0"))
         for x in domain_points(g, 6):
-            gam = christoffel_at(g, x).array
+            gam = christoffel_at(g, x)
             fd = fd_christoffel(g, x)
             assert np.abs(gam - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 

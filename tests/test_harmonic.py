@@ -69,7 +69,7 @@ class TestTensionIdentity:
         backward = tension_identity_at(ghat, g, x)
         # swapping hats negates the Christoffel difference...
         ginv = inverse_metric_at(g, x)
-        d = christoffel_at(g, x).array - christoffel_at(ghat, x).array
+        d = christoffel_at(g, x) - christoffel_at(ghat, x)
         swapped_diff_only = np.einsum("ij,kij->k", ginv, d)
         assert np.allclose(forward, -swapped_diff_only, atol=1e-15)
         # ...but the true swap also changes the contracting inverse

@@ -28,6 +28,21 @@ GODEL = godel_metric(GodelSpec("x2", "cosh(x2)"))
 DENSE3 = dense_metric(3)
 
 
+# Further inputs of the reduction test: dense bases (full inverse, every
+# entry depending on two coordinates) and a large Egorov chart.
+REDUCTION_NON_HARMONIC = [
+    (f"dense-m{m}", dense_metric(m), dense_metric(m, quad=0.35, amp=0.05))
+    for m in (3, 5, 7)
+] + [
+    ("egorov-m16-2exp", egorov_metric(EgorovSpec(16, "exp(x16)")),
+     egorov_metric(EgorovSpec(16, "2*exp(x16)"))),
+]
+REDUCTION_HARMONIC = [
+    ("egorov-m16-exp", egorov_metric(EgorovSpec(16, "exp(x16)")),
+     egorov_metric(EgorovSpec(16, "exp(x16)+1"))),
+]
+
+
 def _some_fiber_points(g, n=6, seed=99):
     return fiber_lattice(g, n, seed)
 
@@ -75,10 +90,9 @@ class TestLiftBlocks:
             e = np.zeros(m)
             e[p] = h
             dgam[..., p] = (
-                christoffel_at(g, q.base + e).array
-                - christoffel_at(g, q.base - e).array
+                christoffel_at(g, q.base + e) - christoffel_at(g, q.base - e)
             ) / (2 * h)
-        gam = christoffel_at(g, q.base).array
+        gam = christoffel_at(g, q.base)
         P = np.einsum("kjhi->kijh", dgam)
         Q = np.einsum("kil,ljh->kijh", gam, gam)
         riem_fd = (P - np.swapaxes(P, 1, 2)) + (Q - np.swapaxes(Q, 1, 2))
@@ -261,7 +275,7 @@ class TestFrameChangeOracle:
         m = g.dim
         for q in _some_fiber_points(g, n=4):
             blocks = lift_blocks_at(g, LiftKind.COMPLETE_TM, q)
-            gam = christoffel_at(lifted, q.chart_point()).array
+            gam = christoffel_at(lifted, q.chart_point())
             assert np.abs(gam[:m] - blocks.gamma_base).max() < 1e-10
             assert np.abs(gam[m:] - blocks.gamma_fiber).max() < 1e-10
 
@@ -279,7 +293,7 @@ class TestFrameChangeOracle:
             blocks = lift_blocks_at(g, kind, q)
             frame = adapted_frame_at(g, kind, q)
             omega = connection_in_frame(
-                christoffel_at(lifted, q.chart_point()).array, frame
+                christoffel_at(lifted, q.chart_point()), frame
             )
             diff_base = omega[:m] - blocks.gamma_base
             assert np.abs(diff_base).max() < 1e-9
@@ -307,7 +321,7 @@ class TestFrameChangeOracle:
             blocks = lift_blocks_at(g, LiftKind.HORIZONTAL_TM, q)
             frame = adapted_frame_at(g, LiftKind.HORIZONTAL_TM, q)
             omega = connection_in_frame(
-                christoffel_at(lifted, q.chart_point()).array, frame
+                christoffel_at(lifted, q.chart_point()), frame
             )
             assert np.abs(omega[:m, :m, :m] - blocks.gamma_base[:, :m, :m]).max() < 1e-9
             assert np.abs(omega[:m, :m, m:]).max() < 1e-9
@@ -378,6 +392,12 @@ class TestCheckLiftConditions:
             rep = check_lift_conditions(g, ghat, kind, samples=16)
             assert rep.verdict == "not-harmonic"
 
+    def test_unknown_kind_raises(self):
+        # a kind is placed by identity; a plain string must not pass as one
+        _, g, ghat = NON_HARMONIC_PAIRS[0]
+        with pytest.raises(ValueError, match="unknown lift kind"):
+            check_lift_conditions(g, ghat, "complete-tm", samples=4)
+
     def test_deterministic(self):
         _, g, ghat = NON_HARMONIC_PAIRS[1]
         a = check_lift_conditions(g, ghat, LiftKind.SASAKI_TM, samples=12, seed=5)
@@ -387,13 +407,20 @@ class TestCheckLiftConditions:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize(
         "name, g, ghat",
-        [pytest.param(*p, id=p[0]) for p in HARMONIC_PAIRS + NON_HARMONIC_PAIRS],
+        [
+            pytest.param(*p, id=p[0])
+            for p in HARMONIC_PAIRS
+            + NON_HARMONIC_PAIRS
+            + REDUCTION_HARMONIC
+            + REDUCTION_NON_HARMONIC
+        ],
     )
     def test_batched_matches_single_point_loop(self, name, g, ghat, kind):
-        # Reference: one lifted_tension_at call per lattice point of the
-        # bundle box.  The batched path sums in another order, so values
-        # may move by a few ulps of the O(1) block entries: 4 eps, fixed
-        # from float64 before any run.  21 samples leave a partial slice.
+        # Reference: the block formulas, one lifted_tension_at call per
+        # lattice point of the bundle box.  The check computes the closed
+        # form (tau, 0) / (0, 2 tau) from the base tension instead, so
+        # values may differ by a few ulps of the O(1) block entries: 4 eps,
+        # fixed from float64 before any run.
         samples, seed, m = 21, 7, g.dim
         box = shared_domain(g, ghat) + ((-1.0, 1.0),) * m
         pts = lattice_points(box, samples, seed)
@@ -407,6 +434,6 @@ class TestCheckLiftConditions:
         assert rep.samples_used == samples
         assert abs(rep.max_abs_residual - ref.max()) <= tol
         assert np.abs(np.array(rep.per_component_max) - ref.max(axis=0)).max() <= tol
-        if name in {n for n, _, _ in NON_HARMONIC_PAIRS}:
+        if name in {n for n, _, _ in NON_HARMONIC_PAIRS + REDUCTION_NON_HARMONIC}:
             worst = int(np.argmax(ref.max(axis=1)))
             assert rep.worst_point == tuple(pts[worst])

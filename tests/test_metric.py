@@ -105,28 +105,28 @@ class TestMetricJets:
 class TestChristoffel:
     def test_egorov_fixture_at_origin(self):
         g = egorov_metric(EgorovSpec(3, "exp(x3)"))
-        gam = christoffel_at(g, [0, 0, 0]).array
+        gam = christoffel_at(g, [0, 0, 0])
         expected = np.zeros((3, 3, 3))
         expected[1, 0, 0] = -0.5
         expected[0, 0, 2] = expected[0, 2, 0] = 0.5
         assert np.allclose(gam, expected, atol=1e-15)
 
     def test_constant_metric_vanishes(self):
-        gam = christoffel_at(SCALED2, [0.4, -0.9]).array
+        gam = christoffel_at(SCALED2, [0.4, -0.9])
         assert np.array_equal(gam, np.zeros((2, 2, 2)))
 
     def test_godel_matches_finite_differences(self, rng):
         g = godel_metric(GodelSpec("x2", "cosh(x2)"))
         for _ in range(5):
             x = np.array([0.0, rng.uniform(-1, 1), 0.0, 0.0])
-            gam = christoffel_at(g, x).array
+            gam = christoffel_at(g, x)
             fd = fd_christoffel(g, x)
             assert np.abs(gam - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
     def test_lower_index_symmetry_exact(self):
         for _, g in GALLERY_METRICS:
             x = domain_points(g, 3)
-            gam = christoffel_at(g, x).array
+            gam = christoffel_at(g, x)
             assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
 
     def test_metric_compatibility(self):
@@ -134,7 +134,7 @@ class TestChristoffel:
         for _, g in GALLERY_METRICS:
             x = domain_points(g, 100)
             G, dG, _ = metric_jets_at(g, x, order=1)
-            gam = christoffel_at(g, x).array
+            gam = christoffel_at(g, x)
             nabla = (
                 np.einsum("nijk->nkij", dG)
                 - np.einsum("nlki,nlj->nkij", gam, G)
@@ -145,13 +145,13 @@ class TestChristoffel:
 
 class TestCurvature:
     def test_flat_curvature_zero(self):
-        R = curvature_at(FLAT2, [0.2, 0.3]).array
+        R = curvature_at(FLAT2, [0.2, 0.3])
         assert np.array_equal(R, np.zeros((2, 2, 2, 2)))
 
     def test_antisymmetry_exact_and_diagonal_zero(self):
         for _, g in GALLERY_METRICS:
             x = domain_points(g, 100)
-            R = curvature_at(g, x).array
+            R = curvature_at(g, x)
             assert np.array_equal(R, -np.swapaxes(R, -3, -2))
             for i in range(g.dim):
                 assert np.array_equal(R[..., i, i, :], np.zeros_like(R[..., i, i, :]))
@@ -159,7 +159,7 @@ class TestCurvature:
     def test_first_bianchi(self):
         for _, g in GALLERY_METRICS:
             x = domain_points(g, 100)
-            R = curvature_at(g, x).array
+            R = curvature_at(g, x)
             cyc = (
                 R
                 + np.einsum("nkijh->nkjhi", R)
@@ -183,14 +183,14 @@ class TestCurvature:
                 e = np.zeros(m)
                 e[p] = h
                 dgam[..., p] = (
-                    christoffel_at(g, x + e).array - christoffel_at(g, x - e).array
+                    christoffel_at(g, x + e) - christoffel_at(g, x - e)
                 ) / (2 * h)
             gam, exact = christoffel_and_derivative_at(g, x)
             assert np.abs(exact - dgam).max() <= 1e-6 * max(1.0, np.abs(dgam).max())
             P = np.einsum("kjhi->kijh", dgam)
             Q = np.einsum("kil,ljh->kijh", gam, gam)
             fd = (P - np.swapaxes(P, 1, 2)) + (Q - np.swapaxes(Q, 1, 2))
-            R = curvature_at(g, x).array
+            R = curvature_at(g, x)
             assert np.abs(R - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 

@@ -1,20 +1,21 @@
 """The sampler's one evaluation pass per candidate batch.
 
-``check`` and ``check --lift`` take the jets of each metric once per batch
-of candidate points: the degeneracy screen reads |det G| from them, and
-the residual runs on the kept rows.  These tests pin the call count, and
-check batches where the screen rejects candidates, bit for bit, against
-a reference that evaluates each metric twice: a ``metric_at`` pass and a
-det screen, then the residual functions on the kept points.
+``check`` and ``check --lift`` take the first jets of each metric once per
+batch of candidate points: the degeneracy screen reads |det G| from them,
+and the residual runs on the kept rows.  These tests pin the call count
+and order, and check batches where the screen rejects candidates, bit for
+bit, against a reference that evaluates each metric twice: a ``metric_at``
+pass and a det screen, then the residual functions on the kept points.
 """
 
+import inspect
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from metriclift import harmonic, lifts, metric
+from metriclift import harmonic, metric
 from metriclift.harmonic import (
     HarmonicityReport,
     check_harmonic,
@@ -22,7 +23,7 @@ from metriclift.harmonic import (
     shared_domain,
     tension_identity_at,
 )
-from metriclift.lifts import LIFT_SLICE_POINTS, LiftKind, check_lift_conditions
+from metriclift.lifts import LiftKind, check_lift_conditions
 from metriclift.metric import DEGENERACY_EPS, ChartedMetric, metric_at
 from conftest import NON_HARMONIC_PAIRS
 
@@ -44,14 +45,20 @@ BANDED = (
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of ``metric_jets_at`` and ``metric_at`` calls per metric, and
-    of candidate batches, wherever the package binds those names."""
+    """Counts of ``metric_jets_at`` calls per metric and jet order, of
+    ``metric_at`` calls per metric, and of candidate batches, wherever the
+    package binds those names."""
     calls = Counter()
 
-    def counter(key, fn):
-        def wrapped(g, *args, **kwargs):
-            calls[key, id(g)] += 1
-            return fn(g, *args, **kwargs)
+    def counter(key, fn, *params):
+        sig = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            arg = bound.arguments
+            calls[(key, id(arg["g"])) + tuple(arg[p] for p in params)] += 1
+            return fn(*args, **kwargs)
 
         return wrapped
 
@@ -63,7 +70,7 @@ def counted(monkeypatch):
         return wrapped
 
     wrappers = {
-        id(metric.metric_jets_at): counter("jets", metric.metric_jets_at),
+        id(metric.metric_jets_at): counter("jets", metric.metric_jets_at, "order"),
         id(metric.metric_at): counter("values", metric.metric_at),
         id(harmonic.lattice_points): batches(harmonic.lattice_points),
     }
@@ -91,14 +98,16 @@ def _check(g, ghat, kind, **kwargs):
     ids=["all-kept", "banded"],
 )
 def test_one_jet_pass_per_candidate_batch(counted, kind, pair, samples, batches):
+    # ``check --lift`` asks for first jets only, as ``check`` does: the
+    # block traces reduce to the base tension
     g, ghat = pair
     rep = _check(g, ghat, kind, samples=samples)
     assert counted["batches"] == batches
     assert rep.samples_scanned == batches * samples
     assert counted == {
         "batches": batches,
-        ("jets", id(g)): batches,
-        ("jets", id(ghat)): batches,
+        ("jets", id(g), 1): batches,
+        ("jets", id(ghat), 1): batches,
     }
 
 
@@ -151,12 +160,10 @@ def test_rejecting_batches_match_screen_then_residual(samples, batches):
 
     box = shared_domain(g, ghat) + ((-1.0, 1.0),) * m
     pts, scanned, rejected = _kept_points(g, ghat, box, samples, seed)
+    tau = tension_identity_at(g, ghat, pts[:, :m])
+    zero = np.zeros_like(tau)
     for kind in LiftKind:
-        # what ``lifted_tension_at`` computes, on slices of kept points
-        residual = []
-        for s in range(0, samples, LIFT_SLICE_POINTS):
-            x, w = pts[s : s + LIFT_SLICE_POINTS, :m], pts[s : s + LIFT_SLICE_POINTS, m:]
-            jets, hat_jets = lifts._base_jets(g, x), lifts._base_jets(ghat, x)
-            residual.append(np.concatenate(lifts._lifted_tension(kind, jets, hat_jets, w), -1))
-        want = _report(pts, np.concatenate(residual), scanned, rejected, seed)
+        # the closed form of the block traces: (tau, 0), or (0, 2 tau)
+        placed = (zero, 2.0 * tau) if kind is LiftKind.COMPLETE_TM else (tau, zero)
+        want = _report(pts, np.concatenate(placed, -1), scanned, rejected, seed)
         assert check_lift_conditions(g, ghat, kind, samples=samples, seed=seed) == want, kind
