@@ -426,7 +426,8 @@ def main(argv=None) -> int:
     ) as err:
         return _error(type(err).__name__, str(err))
     except RecursionError as err:
-        # parsing, printing and evaluation recurse once per nesting level
+        # the expression parser and json.loads recurse once per nesting
+        # level of their text
         return _error(
             "RecursionError",
             f"an expression (or the manifest) is nested too deeply to process: {err}",

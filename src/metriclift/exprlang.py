@@ -76,11 +76,6 @@ FUNCTIONS = frozenset(
 # Longest expression text quoted in an error: a shared DAG can expand to
 # text exponentially longer than its node count.
 CULPRIT_CHARS = 200
-# Deepest nesting a definition may reach, counted through the definitions
-# it uses.  The tree walks recurse, up to two frames per level, so this
-# keeps them inside Python's default recursion limit of 1000; lifted
-# charts nest 77 levels deep at dense m=6.
-MAX_DEFINITION_DEPTH = 256
 
 
 class ExprError(ValueError):
@@ -143,6 +138,38 @@ def _children(e: ExprAst) -> tuple:
     if isinstance(e, (Neg, Call)):
         return (e.arg,)
     return ()
+
+
+def _postorder(root: ExprAst, done) -> list:
+    """The nodes under ``root`` whose ids are not in ``done``, each once,
+    children before parents and left before right.  Every walk over a DAG
+    is a loop over this list, so no nesting is too deep for them."""
+    order: list = []
+    seen: set = set()
+    stack = [root]
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        if node is None:  # marks that the node below has its children listed
+            order.append(pop())
+            continue
+        key = id(node)
+        if key in seen or key in done:
+            continue
+        seen.add(key)
+        t = type(node)
+        if t is Binary:
+            push(node)
+            push(None)
+            push(node.right)
+            push(node.left)
+        elif t is Neg or t is Call:
+            push(node)
+            push(None)
+            push(node.arg)
+        else:
+            order.append(node)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +321,14 @@ def parse_expression(
     dict when parsing a family of related sources over the same
     ``symbols`` to share subtrees between them too.  ``names`` maps
     further identifiers to nodes of ``table`` (see
-    :func:`parse_definitions`); a name mapped to None is not defined yet."""
+    :func:`parse_definitions`); a name mapped to None is not defined yet.
+
+    The parser recurses, about five frames per parenthesis or function
+    call and fewer per unary minus or ``^``, so text nested past Python's
+    recursion limit (about 195 parentheses at the default) raises
+    :class:`RecursionError`.  A name adds no nesting to its user's text,
+    and every walk over the parsed DAG is a loop, so nodes may nest to
+    any depth through names."""
     if not symbols:
         raise ValueError("symbol list must be nonempty")
     if len(set(symbols)) != len(symbols):
@@ -305,25 +339,6 @@ def parse_expression(
 
 
 _NAME_RE = re.compile(_NAME)
-
-
-def _depth(e: ExprAst, depths: dict) -> int:
-    """Nesting depth of ``e``; ``depths`` (by node identity) holds the
-    nodes measured so far, so a family costs its unique nodes once."""
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in depths:
-            stack.pop()
-            continue
-        kids = _children(node)
-        todo = [k for k in kids if id(k) not in depths]
-        if todo:
-            stack += todo
-            continue
-        depths[id(node)] = 1 + max((depths[id(k)] for k in kids), default=0)
-        stack.pop()
-    return depths[id(e)]
 
 
 def parse_definitions(
@@ -346,7 +361,6 @@ def parse_definitions(
         if name in names:
             raise ExprError(f"definition '{name}' is given more than once")
         names[name] = None
-    depths: dict = {}
     for name, source in pairs:
         try:
             node = parse_expression(source, symbols, table, names)
@@ -354,12 +368,6 @@ def parse_definitions(
             raise ExprError(f"in definition '{name}': {err}") from None
         except RecursionError:
             raise ExprError(f"definition '{name}' is nested too deeply to parse") from None
-        depth = _depth(node, depths)
-        if depth > MAX_DEFINITION_DEPTH:
-            raise ExprError(
-                f"definition '{name}' nests {depth} levels deep, over the "
-                f"limit of {MAX_DEFINITION_DEPTH}"
-            )
         names[name] = node
     return names
 
@@ -370,68 +378,55 @@ def parse_definitions(
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
-def _prec(e: ExprAst) -> int:
-    if isinstance(e, Binary):
-        return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[e.op]
-    if isinstance(e, Neg):
-        return _PREC_UNARY
-    if isinstance(e, Num) and e.value < 0:
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
 def _fmt_num(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
-class _Renderer:
-    """The printer behind :func:`to_source` and :func:`to_shared_sources`:
-    called on a node, renders it to ``(text, precedence)``, once per node
-    identity.  ``define(node, text)`` may return a name to print the node
-    as.  A class rather than recursive closures, which would form a
-    reference cycle holding ``memo`` past the call."""
+def _wrap(rendered: tuple[str, int], minimum: int) -> str:
+    s, prec = rendered
+    return f"({s})" if prec < minimum else s
 
-    def __init__(self, memo: dict, limit: int | None = None, define=None):
-        self.memo = memo
-        self.keep = None if limit is None else limit + 1
-        self.define = define
 
-    def wrap(self, child: ExprAst, minimum: int) -> str:
-        s, prec = self(child)
-        return f"({s})" if prec < minimum else s
-
-    def __call__(self, node: ExprAst) -> tuple[str, int]:
-        got = self.memo.get(id(node))
-        if got is not None:
-            return got
-        wrap = self.wrap
-        if isinstance(node, Num):
-            s = _fmt_num(node.value)
-        elif isinstance(node, Sym):
-            s = node.name
-        elif isinstance(node, Neg):
-            s = "-" + wrap(node.arg, _PREC_UNARY)
-        elif isinstance(node, Call):
-            s = f"{node.fn}({self(node.arg)[0]})"
-        elif isinstance(node, Binary):
-            if node.op in "+-":
-                s = f"{wrap(node.left, _PREC_ADD)} {node.op} {wrap(node.right, _PREC_ADD + 1)}"
-            elif node.op in "*/":
-                s = f"{wrap(node.left, _PREC_MUL)}{node.op}{wrap(node.right, _PREC_MUL + 1)}"
+def _render(nodes: list, memo: dict, keep: int | None = None, define=None) -> None:
+    """The printer behind :func:`to_source` and :func:`to_shared_sources`.
+    Renders ``nodes``, listed children first (:func:`_postorder`), to
+    ``memo[id(node)] = (text, precedence)``.  With ``keep``, no text is
+    longer than ``keep`` characters.  ``define(node, text)`` may return a
+    name to print the node as."""
+    for node in nodes:
+        t = type(node)
+        if t is Binary:
+            op = node.op
+            left, right = memo[id(node.left)], memo[id(node.right)]
+            if op in "+-":
+                s = f"{_wrap(left, _PREC_ADD)} {op} {_wrap(right, _PREC_ADD + 1)}"
+                prec = _PREC_ADD
+            elif op in "*/":
+                s = f"{_wrap(left, _PREC_MUL)}{op}{_wrap(right, _PREC_MUL + 1)}"
+                prec = _PREC_MUL
             else:
                 # power: right-associative, left operand must be atomic
-                s = f"{wrap(node.left, _PREC_ATOM)}^{wrap(node.right, _PREC_UNARY)}"
+                s = f"{_wrap(left, _PREC_ATOM)}^{_wrap(right, _PREC_UNARY)}"
+                prec = _PREC_POW
+        elif t is Num:
+            s = _fmt_num(node.value)
+            prec = _PREC_UNARY if node.value < 0 else _PREC_ATOM
+        elif t is Sym:
+            s, prec = node.name, _PREC_ATOM
+        elif t is Neg:
+            s, prec = "-" + _wrap(memo[id(node.arg)], _PREC_UNARY), _PREC_UNARY
+        elif t is Call:
+            s, prec = f"{node.fn}({memo[id(node.arg)][0]})", _PREC_ATOM
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        if self.keep is not None:
+        if keep is not None:
             # the first ``keep`` characters of a parent only ever need the
             # first ``keep`` of each child
-            s = s[: self.keep]
-        name = None if self.define is None else self.define(node, s)
-        got = self.memo[id(node)] = (s, _prec(node)) if name is None else (name, _PREC_ATOM)
-        return got
+            s = s[:keep]
+        name = None if define is None else define(node, s)
+        memo[id(node)] = (s, prec) if name is None else (name, _PREC_ATOM)
 
 
 def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) -> str:
@@ -441,7 +436,10 @@ def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) ->
     characters is cut and marked with "...", and no node is rendered
     longer than that, so the cost stays linear in the DAG however long
     its expansion is."""
-    text = _Renderer({} if memo is None else memo, limit)(e)[0]
+    if memo is None:
+        memo = {}
+    _render(_postorder(e, memo), memo, None if limit is None else limit + 1)
+    text = memo[id(e)][0]
     if limit is not None and len(text) > limit:
         text = text[:limit] + "..."
     return text
@@ -460,15 +458,15 @@ def to_shared_sources(
     ...``, with the prefix lengthened until no name can equal one of
     ``reserved`` or a function name."""
     refs: dict = {}  # parent-child edges (and root slots) into each node
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        key = id(node)
-        if key in refs:
-            refs[key] += 1
-        else:
-            refs[key] = 1
-            stack += _children(node)
+    nodes: list = []
+    for root in roots:
+        fresh = _postorder(root, refs)
+        for node in fresh:
+            refs[id(node)] = 0
+            for kid in _children(node):
+                refs[id(kid)] += 1
+        refs[id(root)] += 1
+        nodes += fresh
     prefix = "t"
     taken = set(reserved) | FUNCTIONS
     while any(re.fullmatch(prefix + r"\d+", name) for name in taken):
@@ -482,9 +480,9 @@ def to_shared_sources(
         definitions.append([name, text])
         return name
 
-    render = _Renderer({}, define=define)
-    sources = [render(r)[0] for r in roots]
-    return definitions, sources
+    memo: dict = {}
+    _render(nodes, memo, define=define)
+    return definitions, [memo[id(r)][0] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -589,30 +587,26 @@ _DERIV_BUILDERS = {
 }
 
 
+def _constant_exponent(e: ExprAst) -> float | None:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Neg) and isinstance(e.arg, Num):
+        return -e.arg.value
+    return None
+
+
 def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
     """Exact partial derivative with respect to the symbol at ``index``.
-    ``memo`` (by node identity and index) differentiates each shared node
-    once, so the cost is linear in the DAG; pass one dict when
-    differentiating a family of related trees."""
-    if memo is None:
-        memo = {}
-
-    def d(node: ExprAst) -> ExprAst:
-        key = (id(node), index)
-        got = memo.get(key)
-        if got is not None:
-            return got[1]
-        if isinstance(node, Num):
-            r = Num(0.0)
-        elif isinstance(node, Sym):
-            r = Num(1.0 if node.index == index else 0.0)
-        elif isinstance(node, Neg):
-            r = neg(d(node.arg))
-        elif isinstance(node, Call):
-            r = mul(_DERIV_BUILDERS[node.fn](node.arg), d(node.arg))
-        elif isinstance(node, Binary):
+    ``memo`` differentiates each shared node once, so the cost is linear
+    in the DAG; pass one dict when differentiating a family of related
+    trees.  It holds ``memo[index][id(node)] = (node, derivative)``: the
+    node is kept with its derivative so that its id stays taken."""
+    done = ({} if memo is None else memo).setdefault(index, {})
+    for node in _postorder(e, done):
+        t = type(node)
+        if t is Binary:
             a, b = node.left, node.right
-            da, db = d(a), d(b)
+            da, db = done[id(a)][1], done[id(b)][1]
             if node.op == "+":
                 r = add(da, db)
             elif node.op == "-":
@@ -629,16 +623,18 @@ def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
                 else:
                     # d(a^b) = a^b * (b' log a + b a'/a)
                     r = mul(node, add(mul(db, func("log", a)), div(mul(b, da), a)))
+        elif t is Num:
+            r = Num(0.0)
+        elif t is Sym:
+            r = Num(1.0 if node.index == index else 0.0)
+        elif t is Neg:
+            r = neg(done[id(node.arg)][1])
+        elif t is Call:
+            r = mul(_DERIV_BUILDERS[node.fn](node.arg), done[id(node.arg)][1])
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        # the node is kept with its derivative so its id stays taken
-        memo[key] = (node, r)
-        return r
-
-    try:
-        return d(e)
-    finally:
-        del d  # d refers to itself: unbinding it frees the walk and memo now
+        done[id(node)] = (node, r)
+    return done[id(e)][1]
 
 
 # ---------------------------------------------------------------------------
@@ -706,14 +702,6 @@ def _general_power(base, expo, node: ExprAst):
     return _apply_fn("exp", expo * _apply_fn("log", base, node), node)
 
 
-def _constant_exponent(e: ExprAst) -> float | None:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.arg, Num):
-        return -e.arg.value
-    return None
-
-
 def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
     """Evaluate over operands supporting arithmetic (floats, arrays or
     jets).  ``memo`` (by node identity) lets shared subtrees of assembled
@@ -721,63 +709,44 @@ def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
     of related trees."""
     if memo is None:
         memo = {}
-
-    def ev(node: ExprAst):
-        key = id(node)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            r = node.value
-        elif isinstance(node, Sym):
-            if node.index >= len(env):
-                raise ExprError(
-                    f"point has {len(env)} entries but symbol "
-                    f"'{node.name}' has index {node.index}"
-                )
-            r = env[node.index]
-        elif isinstance(node, Neg):
-            r = -ev(node.arg)
-        elif isinstance(node, Call):
-            r = _apply_fn(node.fn, ev(node.arg), node)
-        else:
-            op = node.op
-            if op == "^":
-                c = _constant_exponent(node.right)
-                if c is None:
-                    c = ev(node.right)
-                    if isinstance(c, (int, float)) and float(c).is_integer():
-                        c = float(c)  # exponent evaluated to a plain integer
-                    else:
-                        r = _general_power(ev(node.left), c, node)
-                        memo[key] = r
-                        return r
-                if float(c).is_integer():
-                    r = _int_power(ev(node.left), int(c), node)
-                else:
-                    r = _general_power(ev(node.left), ev(node.right), node)
-            else:
-                a = ev(node.left)
+    try:
+        for node in _postorder(expr, memo):
+            t = type(node)
+            if t is Binary:
+                op = node.op
+                a, b = memo[id(node.left)], memo[id(node.right)]
                 if op == "+":
-                    r = a + ev(node.right)
-                elif op == "-":
-                    r = a - ev(node.right)
+                    r = a + b
                 elif op == "*":
-                    r = a * ev(node.right)
-                else:
-                    b = ev(node.right)
+                    r = a * b
+                elif op == "-":
+                    r = a - b
+                elif op == "/":
                     if np.any(np.asarray(_value_of(b)) == 0.0):
                         raise EvalDomainError("division by zero", node)
                     r = a / b
-        memo[key] = r
-        return r
-
-    try:
-        return ev(expr)
+                elif isinstance(b, (int, float)) and float(b).is_integer():
+                    # a plain integer exponent, constant or evaluated
+                    r = _int_power(a, int(b), node)
+                else:
+                    r = _general_power(a, b, node)
+            elif t is Num:
+                r = node.value
+            elif t is Sym:
+                if node.index >= len(env):
+                    raise ExprError(
+                        f"point has {len(env)} entries but symbol "
+                        f"'{node.name}' has index {node.index}"
+                    )
+                r = env[node.index]
+            elif t is Neg:
+                r = -memo[id(node.arg)]
+            else:
+                r = _apply_fn(node.fn, memo[id(node.arg)], node)
+            memo[id(node)] = r
     except JetDomainError as err:  # pragma: no cover - defensive
         raise EvalDomainError(str(err), expr) from err
-    finally:
-        del ev  # ev refers to itself: unbinding it frees the walk and memo now
+    return memo[id(expr)]
 
 
 def eval_value(expr: ExprAst, point) -> float:

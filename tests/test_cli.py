@@ -278,13 +278,21 @@ class TestCheck:
         assert f"m <= {gallery.MAX_EGOROV_DIM}" in err["message"]
 
     def test_deeply_nested_entry_exits_two(self, tmp_path, capsys):
-        # a left-leaning sum 3000 levels deep is over the recursion limit
-        deep = " + ".join(f"{k}*x1" for k in range(1, 3001))
+        # the walks over a parsed entry are loops: a left-leaning sum
+        # 100,000 levels deep gets a verdict
+        deep = " + ".join(["0.001*x1*x2"] * 100_000)
         doc = {
             "coordinates": ["x1", "x2"],
-            "metric": [[f"{deep} + 5", "0"], ["0", "1"]],
+            "metric": [[f"2 + {deep}", "0"], ["0", "1"]],
             "hat_metric": [["1", "0"], ["0", "1"]],
+            "samples": 8,
         }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code in (0, 1)
+        assert strict_json(out)["samples_used"] == 8
+        # the parser still recurses, a few frames per parenthesis level
+        doc["metric"][0][0] = "2 + " + "(" * 300 + "x1" + ")" * 300
         path = write_manifest(tmp_path, "m.json", doc)
         code, out = run_cli(capsys, "check", "--manifest", path)
         assert code == 2
@@ -459,14 +467,10 @@ class TestDefinitions:
             ([{"a": "1"}], "definition 1 must be a [name, expression] pair"),
             ({"a": "1"}, "'definitions' must be a list"),
             ([["a", "(" * 3000 + "x1" + ")" * 3000]], "definition 'a' is nested too deeply"),
-            (
-                [["d1", "x1"]] + [[f"d{j}", f"d{j - 1} + x1"] for j in range(2, 3001)],
-                f"definition 'd{exprlang.MAX_DEFINITION_DEPTH + 1}' nests",
-            ),
         ],
         ids=["duplicate", "coordinate", "function", "forward", "self", "syntax", "unknown",
              "bad-name", "non-string-name", "non-string-expression", "short-pair",
-             "long-pair", "object-pair", "not-a-list", "deep-text", "deep-chain"],
+             "long-pair", "object-pair", "not-a-list", "deep-text"],
     )
     def test_bad_definitions_exit_two_naming_the_definition(
         self, tmp_path, capsys, definitions, needle
@@ -481,6 +485,45 @@ class TestDefinitions:
             err = strict_json(out)["error"]
             assert err["kind"] == "ManifestError"
             assert needle in err["message"]
+
+    def test_deep_chain_of_definitions_checks_and_lifts(self, tmp_path, capsys):
+        # d_j = d_{j-1} + x1 nests 3000 levels deep through the names; every
+        # walk over the DAG is a loop, so no depth is too deep to check or
+        # lift, and the lifted text, a flat sum, parses back
+        defs = [["d1", "x1"]] + [[f"d{j}", f"d{j - 1} + x1"] for j in range(2, 3001)]
+        doc = {"coordinates": ["x1", "x2"], "definitions": defs,
+               "metric": [["exp(0.0001*d3000)", "0"], ["0", "1"]],
+               "hat_metric": [["1", "0"], ["0", "1"]], "samples": 8}
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code in (0, 1), out
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "sasaki-tm")
+        assert code in (0, 1), out
+        lifted = tmp_path / "lifted.json"
+        lifted.write_text(out)
+        code, out = run_cli(capsys, "check", "--manifest", str(lifted))
+        assert code in (0, 1), out
+
+    def test_lifted_right_nested_chain_is_too_deep_to_parse(self, tmp_path, capsys):
+        # d_j = 0.5 - 0.001*d_{j-1} checks and lifts, but each d_j is used
+        # once, so the lifted text nests 1000 parentheses deep, past what
+        # the recursive-descent parser takes
+        defs = [["d1", "x1"]] + [[f"d{j}", f"0.5 - 0.001*d{j - 1}"] for j in range(2, 1001)]
+        doc = {"coordinates": ["x1", "x2"], "definitions": defs,
+               "metric": [["2 + d1000", "0"], ["0", "1"]],
+               "hat_metric": [["1", "0"], ["0", "1"]], "samples": 8}
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code in (0, 1), out
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "sasaki-tm")
+        assert code in (0, 1), out
+        lifted = tmp_path / "lifted.json"
+        lifted.write_text(out)
+        code, out = run_cli(capsys, "check", "--manifest", str(lifted))
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert err["message"].endswith("is nested too deeply to parse")
 
     def test_definitions_need_an_explicit_matrix(self, tmp_path, capsys):
         doc = egorov_manifest(definitions=[["a", "x1"]])

@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -22,6 +24,7 @@ from metriclift.exprlang import (
     to_source,
 )
 from metriclift.jets import Jet2, as_jet2
+from metriclift.metric import ChartedMetric, metric_jets_at
 
 
 class TestParsing:
@@ -188,6 +191,14 @@ class TestEvaluation:
     def test_sqrt_domain_error(self):
         with pytest.raises(EvalDomainError, match="sqrt"):
             eval_value(parse_expression("sqrt(x1)", ["x1"]), [-1.0])
+
+    @pytest.mark.parametrize("evaluate", [eval_value, eval_jet2], ids=["floats", "jets"])
+    def test_left_operand_fails_first(self, evaluate):
+        # both operands leave their domain; the walk reaches the left first
+        e = parse_expression("log(0*x1) + sqrt(-1 - x1^2)", ["x1"])
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(e, [0.5])
+        assert str(exc.value) == "log of non-positive value in 'log(0*x1)'"
 
     def test_scalar_overflow_names_culprit(self):
         e = parse_expression("1 + exp(1000*x1)", ["x1"])
@@ -555,6 +566,30 @@ def test_error_text_is_capped():
     assert culprit.startswith("log(0 - (1 + x1)*(1 + x1)*((1 + x1)*(1 + x1))")
     assert to_source(Neg(Sym(0, "x1")), limit=ex.CULPRIT_CHARS) == "-x1"
 
+
+
+def test_walks_take_any_depth():
+    # 1*x1 + 2*x1 + ... + n*x1 nests n levels deep; every walk is a loop,
+    # so each runs with a recursion limit far below that depth
+    n = 5000
+    text = " + ".join(f"{k}*x1" for k in range(1, n + 1))
+    e = parse_expression(text, ["x1"])
+    g = ChartedMetric.from_strings(["x1"], [[text]], [(1.0, 2.0)])
+    total = n * (n + 1) // 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        assert eval_value(e, [2.0]) == 2.0 * total
+        j = eval_jet2(e, [2.0])
+        assert (j.value, j.grad[0], j.hess[0, 0]) == (2.0 * total, total, 0.0)
+        G, dG, _ = metric_jets_at(g, [[2.0]], order=1)
+        assert (G[0, 0, 0], dG[0, 0, 0, 0]) == (2.0 * total, total)
+        assert ex.differentiate(e, 0) == Num(float(total))
+        assert to_source(e) == text
+        assert to_source(e, limit=ex.CULPRIT_CHARS) == text[: ex.CULPRIT_CHARS] + "..."
+        assert ex.to_shared_sources([e], ["x1"]) == ([], [text])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Each walker memoizes by node identity.  It must free its memo when it
