@@ -26,6 +26,8 @@ from metriclift.exprlang import (
 from metriclift.jets import Jet2, as_jet2
 from metriclift.metric import ChartedMetric, metric_jets_at
 
+_A, _B, _C = Sym(0, "a"), Sym(1, "b"), Sym(2, "c")
+
 
 class TestParsing:
     def test_function_call(self):
@@ -52,6 +54,29 @@ class TestParsing:
     def test_unary_minus_in_exponent(self):
         e = parse_expression("2^-2", ["x1"])
         assert eval_value(e, [0.0]) == 0.25
+
+    @pytest.mark.parametrize(
+        "source,tree",
+        [
+            ("-a^b", Neg(Binary("^", _A, _B))),
+            ("a^-b^c", Binary("^", _A, Neg(Binary("^", _B, _C)))),
+            ("a^-b*c", Binary("*", Binary("^", _A, Neg(_B)), _C)),
+            ("-a*b", Binary("*", Neg(_A), _B)),
+            ("a--b", Binary("-", _A, Neg(_B))),
+            ("2*-3", Binary("*", Num(2.0), Neg(Num(3.0)))),
+            ("a-b-c", Binary("-", Binary("-", _A, _B), _C)),
+            ("a/b/c", Binary("/", Binary("/", _A, _B), _C)),
+            ("a^b^c", Binary("^", _A, Binary("^", _B, _C))),
+            ("sin(a)^2", Binary("^", Call("sin", _A), Num(2.0))),
+            ("--a", Neg(Neg(_A))),
+            ("a-(b-c)", Binary("-", _A, Binary("-", _B, _C))),
+            ("(a+b)*-c^2", Binary("*", Binary("+", _A, _B), Neg(Binary("^", _C, Num(2.0))))),
+            ("a+b*c^-sin(a)",
+             Binary("+", _A, Binary("*", _B, Binary("^", _C, Neg(Call("sin", _A)))))),
+        ],
+    )
+    def test_precedence_table(self, source, tree):
+        assert parse_expression(source, ["a", "b", "c"]) == tree
 
     def test_scientific_numbers(self):
         e = parse_expression("1.5e-3 + .25 + 2E2", ["x1"])
