@@ -426,12 +426,8 @@ def main(argv=None) -> int:
     ) as err:
         return _error(type(err).__name__, str(err))
     except RecursionError as err:
-        # the expression parser and json.loads recurse once per nesting
-        # level of their text
-        return _error(
-            "RecursionError",
-            f"an expression (or the manifest) is nested too deeply to process: {err}",
-        )
+        # json.loads recurses once per nesting level of the manifest's JSON
+        return _error("RecursionError", f"the manifest's JSON is nested too deeply to read: {err}")
     sys.stdout.write(out)
     return code
 

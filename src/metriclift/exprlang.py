@@ -203,11 +203,16 @@ def _token_offset(source: str, pos: int) -> int:
     return starts[pos] if pos < len(starts) else len(source)
 
 
+# precedence of each binary operator token; unary minus is 3, between
+# ``* /`` and ``^``
+_BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = (3, "neg")
+
+
 class _Parser:
     def __init__(self, source: str, symbols: Sequence[str], table: dict, names: dict):
         self.source = source
         self.tokens = _tokenize(source)
-        self.pos = 0
         self.symbols = {name: i for i, name in enumerate(symbols)}
         self.table = table
         self.names = names
@@ -224,87 +229,81 @@ class _Parser:
     def fail(self, message: str, pos: int) -> NoReturn:
         raise ExprSyntaxError(message, _token_offset(self.source, pos))
 
-    def expect(self, op: str):
-        if self.tokens[self.pos] != op:
-            self.fail(f"expected {op!r}", self.pos)
-        self.pos += 1
+    def reduce(self, operands: list, op: str) -> None:
+        # replace the operand(s) on top of the stack by their ``op`` node
+        right = operands.pop()
+        if op == "neg":
+            operands.append(self.node((Neg, id(right)), Neg, right))
+        else:
+            left = operands.pop()
+            operands.append(self.node((Binary, op, id(left), id(right)), Binary, op, left, right))
 
     def parse(self) -> ExprAst:
-        e = self.expr()
-        text = self.tokens[self.pos]
-        if text:
-            self.fail(f"unexpected trailing input {text!r}", self.pos)
-        return e
-
-    def expr(self) -> ExprAst:
-        left = self.term()
+        """One operator-precedence pass over the tokens, so no nesting is
+        too deep for it."""
+        tokens, symbols, names, node = self.tokens, self.symbols, self.names, self.node
+        operands: list = []
+        # pending (precedence, operator) pairs; an open bracket is (0, "(")
+        # or (0, function name), so no operator reduces past it
+        ops: list = []
+        pos = 0
         while True:
-            op = self.tokens[self.pos]
-            if op != "+" and op != "-":
-                return left
-            self.pos += 1
-            right = self.term()
-            left = self.node((Binary, op, id(left), id(right)), Binary, op, left, right)
-
-    def term(self) -> ExprAst:
-        left = self.unary()
-        while True:
-            op = self.tokens[self.pos]
-            if op != "*" and op != "/":
-                return left
-            self.pos += 1
-            right = self.unary()
-            left = self.node((Binary, op, id(left), id(right)), Binary, op, left, right)
-
-    def unary(self) -> ExprAst:
-        if self.tokens[self.pos] == "-":
-            self.pos += 1
-            arg = self.unary()
-            return self.node((Neg, id(arg)), Neg, arg)
-        return self.power()
-
-    def power(self) -> ExprAst:
-        base = self.atom()
-        if self.tokens[self.pos] == "^":
-            self.pos += 1
-            expo = self.unary()
-            return self.node((Binary, "^", id(base), id(expo)), Binary, "^", base, expo)
-        return base
-
-    def atom(self) -> ExprAst:
-        pos = self.pos
-        text = self.tokens[pos]
-        self.pos = pos + 1
-        if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
-        if not text:
-            self.fail("unexpected end of input", pos)
-        if text in _OPS:
-            self.fail(f"unexpected token {text!r}", pos)
-        if not text.isidentifier():
-            value = float(text)
-            # float.hex keeps distinct floats (0.0 and -0.0 too) apart
-            return self.node((Num, value.hex()), Num, value)
-        if self.tokens[self.pos] == "(":
-            if text not in FUNCTIONS:
-                self.fail(f"unknown function '{text}'", pos)
-            self.pos += 1
-            arg = self.expr()
-            if self.tokens[self.pos] == ",":
-                self.fail(f"function '{text}' takes exactly one argument", self.pos)
-            self.expect(")")
-            return self.node((Call, text, id(arg)), Call, text, arg)
-        index = self.symbols.get(text)
-        if index is not None:
-            return self.node((Sym, index, text), Sym, index, text)
-        if text not in self.names:
-            self.fail(f"unknown identifier '{text}'", pos)
-        node = self.names[text]
-        if node is None:
-            self.fail(f"'{text}' is used before its definition", pos)
-        return node
+            # an operand is due: unary minuses and open brackets, then an atom
+            text = tokens[pos]
+            pos += 1
+            if text == "-" or text == "(":
+                ops.append(_NEG if text == "-" else (0, text))
+                continue
+            if not text:
+                self.fail("unexpected end of input", pos - 1)
+            if text in _OPS:
+                self.fail(f"unexpected token {text!r}", pos - 1)
+            if not text.isidentifier():
+                value = float(text)
+                # float.hex keeps distinct floats (0.0 and -0.0 too) apart
+                operands.append(node((Num, value.hex()), Num, value))
+            elif tokens[pos] == "(":
+                if text not in FUNCTIONS:
+                    self.fail(f"unknown function '{text}'", pos - 1)
+                ops.append((0, text))
+                pos += 1
+                continue
+            elif text in symbols:
+                index = symbols[text]
+                operands.append(node((Sym, index, text), Sym, index, text))
+            elif text not in names:
+                self.fail(f"unknown identifier '{text}'", pos - 1)
+            elif names[text] is None:
+                self.fail(f"'{text}' is used before its definition", pos - 1)
+            else:
+                operands.append(names[text])
+            # an operator is due: close brackets, then a binary operator or the end
+            while True:
+                text = tokens[pos]
+                prec = _BINARY.get(text)
+                if prec is not None:
+                    break
+                while ops and ops[-1][0]:
+                    self.reduce(operands, ops.pop()[1])
+                if not ops:
+                    if text:
+                        self.fail(f"unexpected trailing input {text!r}", pos)
+                    return operands[0]
+                opener = ops.pop()[1]
+                if text != ")":
+                    if text == "," and opener != "(":
+                        self.fail(f"function '{opener}' takes exactly one argument", pos)
+                    self.fail("expected ')'", pos)
+                if opener != "(":
+                    arg = operands.pop()
+                    operands.append(node((Call, opener, id(arg)), Call, opener, arg))
+                pos += 1
+            # ``^`` binds tightest and groups to the right, so it reduces nothing
+            if text != "^":
+                while ops and ops[-1][0] >= prec:
+                    self.reduce(operands, ops.pop()[1])
+            ops.append((prec, text))
+            pos += 1
 
 
 def parse_expression(
@@ -323,12 +322,8 @@ def parse_expression(
     further identifiers to nodes of ``table`` (see
     :func:`parse_definitions`); a name mapped to None is not defined yet.
 
-    The parser recurses, about five frames per parenthesis or function
-    call and fewer per unary minus or ``^``, so text nested past Python's
-    recursion limit (about 195 parentheses at the default) raises
-    :class:`RecursionError`.  A name adds no nesting to its user's text,
-    and every walk over the parsed DAG is a loop, so nodes may nest to
-    any depth through names."""
+    Parsing is one loop over the tokens and every walk over the parsed
+    DAG is a loop, so text and names may nest to any depth."""
     if not symbols:
         raise ValueError("symbol list must be nonempty")
     if len(set(symbols)) != len(symbols):
@@ -366,8 +361,6 @@ def parse_definitions(
             node = parse_expression(source, symbols, table, names)
         except ExprSyntaxError as err:
             raise ExprError(f"in definition '{name}': {err}") from None
-        except RecursionError:
-            raise ExprError(f"definition '{name}' is nested too deeply to parse") from None
         names[name] = node
     return names
 

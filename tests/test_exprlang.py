@@ -594,16 +594,25 @@ def test_error_text_is_capped():
 
 
 def test_walks_take_any_depth():
-    # 1*x1 + 2*x1 + ... + n*x1 nests n levels deep; every walk is a loop,
-    # so each runs with a recursion limit far below that depth
+    # 1*x1 + 2*x1 + ... + n*x1 nests n levels deep; parsing and every walk
+    # are loops, so each runs with a recursion limit far below that depth
     n = 5000
     text = " + ".join(f"{k}*x1" for k in range(1, n + 1))
-    e = parse_expression(text, ["x1"])
-    g = ChartedMetric.from_strings(["x1"], [[text]], [(1.0, 2.0)])
     total = n * (n + 1) // 2
+    deep = 100_000
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
+        e = parse_expression(text, ["x1"])
+        g = ChartedMetric.from_strings(["x1"], [[text]], [(1.0, 2.0)])
+        assert parse_expression("(" * deep + "x1" + ")" * deep, ["x1"]) == Sym(0, "x1")
+        assert eval_value(parse_expression("-" * deep + "x1", ["x1"]), [2.0]) == 2.0
+        assert eval_value(parse_expression("x1" + "^1" * deep, ["x1"]), [2.0]) == 2.0
+        sines = parse_expression("sin(" * 20_000 + "x1" + ")" * 20_000, ["x1"])
+        v = 2.0
+        for _ in range(20_000):
+            v = math.sin(v)
+        assert eval_value(sines, [2.0]) == v
         assert eval_value(e, [2.0]) == 2.0 * total
         j = eval_jet2(e, [2.0])
         assert (j.value, j.grad[0], j.hess[0, 0]) == (2.0 * total, total, 0.0)
