@@ -374,46 +374,37 @@ def lift_to_chart(
                 )
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
-    elif kind is LiftKind.SASAKI_TM:
-        gamma, _ = _symbolic_christoffels(g, dmemo)
-        A = [
-            [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
-            for k in range(m)
-        ]
-        for i in range(m):
-            for j in range(i, m):
-                quad = _sum(
-                    ex.mul(ex.mul(comp[k][l], A[k][i]), A[l][j])
-                    for k in range(m)
-                    for l in range(m)
-                )
-                entries[i][j] = ex.add(comp[i][j], quad)
-                entries[m + i][m + j] = comp[i][j]
-            for j in range(m):
-                entries[i][m + j] = _sum(
-                    ex.mul(A[k][i], comp[k][j]) for k in range(m)
-                )
-    elif kind is LiftKind.SASAKI_CTM:
+    elif kind in (LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM):
+        # F^T diag(g, H) F with F = [[I, 0], [A, I]]: the fiber metric H is
+        # g on TM and g^-1 on T*M, and the off-diagonal block flips sign
         gamma, ginv = _symbolic_christoffels(g, dmemo)
-        B = [[None] * m for _ in range(m)]
-        for k in range(m):
-            for i in range(k, m):
-                B[k][i] = B[i][k] = _sum(
-                    ex.mul(w[a], gamma[a][k][i]) for a in range(m)
-                )
+        if kind.cotangent:
+            H = ginv
+            # A_{ki} = p_a Gamma^a_{ki} is symmetric: one tree per pair
+            A = [[None] * m for _ in range(m)]
+            for k in range(m):
+                for i in range(k, m):
+                    A[k][i] = A[i][k] = _sum(
+                        ex.mul(w[a], gamma[a][k][i]) for a in range(m)
+                    )
+        else:
+            H = comp
+            A = [
+                [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
+                for k in range(m)
+            ]
         for i in range(m):
             for j in range(i, m):
                 quad = _sum(
-                    ex.mul(ex.mul(ginv[k][l], B[k][i]), B[l][j])
+                    ex.mul(ex.mul(H[k][l], A[k][i]), A[l][j])
                     for k in range(m)
                     for l in range(m)
                 )
                 entries[i][j] = ex.add(comp[i][j], quad)
-                entries[m + i][m + j] = ginv[i][j]
+                entries[m + i][m + j] = H[i][j]
             for j in range(m):
-                entries[i][m + j] = ex.neg(
-                    _sum(ex.mul(B[k][i], ginv[k][j]) for k in range(m))
-                )
+                off = _sum(ex.mul(A[k][i], H[k][j]) for k in range(m))
+                entries[i][m + j] = ex.neg(off) if kind.cotangent else off
     else:
         raise ValueError(f"unknown lift kind: {kind!r}")
 
