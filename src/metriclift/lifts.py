@@ -375,12 +375,13 @@ def lift_to_chart(
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
     elif kind in (LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM):
-        # F^T diag(g, H) F with F = [[I, 0], [A, I]]: the fiber metric H is
-        # g on TM and g^-1 on T*M, and the off-diagonal block flips sign
+        # F^T diag(g, H) F with F = [[I, 0], [A, I]]: H is g on TM and
+        # g^-1 on T*M, where A is built without its minus sign, which only
+        # the off-diagonal block sees
         gamma, ginv = _symbolic_christoffels(g, dmemo)
         if kind.cotangent:
             H = ginv
-            # A_{ki} = p_a Gamma^a_{ki} is symmetric: one tree per pair
+            # A_{ki} = -p_a Gamma^a_{ki} is symmetric: one tree per pair
             A = [[None] * m for _ in range(m)]
             for k in range(m):
                 for i in range(k, m):
