@@ -491,7 +491,13 @@ def sym(index: int, name: str) -> Sym:
 
 
 def _num(e: ExprAst) -> float | None:
-    return e.value if isinstance(e, Num) else None
+    # the constant ``e`` stands for, if any; text such as "-2" parses to a
+    # negated number
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Neg) and isinstance(e.arg, Num):
+        return -e.arg.value
+    return None
 
 
 def add(a: ExprAst, b: ExprAst) -> ExprAst:
@@ -580,14 +586,6 @@ _DERIV_BUILDERS = {
 }
 
 
-def _constant_exponent(e: ExprAst) -> float | None:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.arg, Num):
-        return -e.arg.value
-    return None
-
-
 def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
     """Exact partial derivative with respect to the symbol at ``index``.
     ``memo`` differentiates each shared node once, so the cost is linear
@@ -609,7 +607,7 @@ def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
             elif node.op == "/":
                 r = sub(div(da, b), div(mul(a, db), power(b, const(2.0))))
             else:
-                ev = _constant_exponent(b)
+                ev = _num(b)
                 if ev is not None:
                     # d(a^c) = c * a^(c-1) * a'
                     r = mul(mul(const(ev), power(a, const(ev - 1.0))), da)

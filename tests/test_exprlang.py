@@ -346,6 +346,15 @@ def test_smart_constructors_fold_identities():
     assert ex.add(ex.const(2.0), ex.const(3.0)) == Num(5.0)
 
 
+def test_smart_constructors_fold_a_parsed_negative_literal():
+    # "-2" parses to a negated number, which folds like the constant -2
+    minus_two = parse_expression("-2", ["x1"])
+    assert minus_two == Neg(Num(2.0))
+    assert ex.mul(minus_two, ex.const(3.0)) == Num(-6.0)
+    assert ex.add(minus_two, ex.const(3.0)) == Num(1.0)
+    assert ex.mul(minus_two, minus_two) == Num(4.0)
+
+
 def test_to_source_negative_constant_operand_reparses():
     e = ex.mul(Sym(0, "x1"), ex.const(-2.0))
     src = to_source(e)

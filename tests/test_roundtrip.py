@@ -124,15 +124,15 @@ LIFT_STDOUT_SHA256 = {
     "egorov-m5-quad/sasaki-tm": "a755be0486c30503ce7393b768be645fc0837727c4e30fccc42ade0fad1c49f7",
     "egorov-m5-quad/complete-tm": "07749dcf01a16ec7bfff79c3db88236611347b3cf8310e442d330c47ef084612",
     "egorov-m5-quad/sasaki-ctm": "057e64617075b418e6515dc199e80af630d73f4628d4b69e65a1bf3490812a90",
-    "godel-cosh/sasaki-tm": "35a69270e47e583692dc1ef05027308cbe3f735ec39daa294666622d6e969cc2",
+    "godel-cosh/sasaki-tm": "2431cdfd82f465c49f1c76d20e309b30509ade3d493c5b3ee533aef66eb5bf9e",
     "godel-cosh/complete-tm": "d0dfbf2d40d7c5e94ce322cac5f6d096e38f59b62903154643f3ac9bef6f5ba9",
-    "godel-cosh/sasaki-ctm": "05f228143a5e846e644dc44e2ece44852e019070040961b7ec88a18a641c8cad",
-    "godel-exp/sasaki-tm": "9bb6f9548790340f575d51c2d82606e9edf4f9dd2170b1c86e0f52ce6567fe09",
+    "godel-cosh/sasaki-ctm": "26d199443c538bf40f5b7267387c43408459c2a2fc583b7b08f349fd3ab88617",
+    "godel-exp/sasaki-tm": "c56648456fb8c668d1fe87d08e8e6724d638ad75c3c635bb486012acb5333e7b",
     "godel-exp/complete-tm": "e10afdc38a591b095934362bfd36d16273420099975a78cbe8bcee8a9c37773e",
-    "godel-exp/sasaki-ctm": "7bf9216afdbdf4512dfa1c5047dc057b13731140564d66a3c445e2510271a55e",
-    "godel-shifted/sasaki-tm": "f73a2e1ecc8ee0a0c20585df89d14336b7711c1d1ad5e890570bae5ee3f2e08f",
+    "godel-exp/sasaki-ctm": "b43059ccd428fa84f4dcdfccbcf422fc93e807a6b469a0e46c754a1a433a9641",
+    "godel-shifted/sasaki-tm": "69b5a5b9d27ffadf376b9b3bcb3734fdf6f5756425a0e9ec256dc0934c7322b0",
     "godel-shifted/complete-tm": "5056e82b277a0b9bbebfa4ecf6da6b85cd718f0f1d7efa8114a2307063d03772",
-    "godel-shifted/sasaki-ctm": "a214b36c3e0d1417883974e36528a8c231bdd373ccc81bdcf5d1ebb86fecd12a",
+    "godel-shifted/sasaki-ctm": "8492f927244a25b848ac5945ce4f4cce0c98dcb745907f813c29f94d1e172d33",
     "walker-const/sasaki-tm": "43eabd8a4adeecc3475c64524e72a09bdc3f751c5101199c2ea2e95d8ef665dc",
     "walker-const/complete-tm": "08bbb326b659a86a86f7f3ad1f8073098831fb3f3034b71d989c960363485363",
     "walker-const/sasaki-ctm": "411bccfd4b28d9b66e4636ff705734b59c8f8593ee3b24d9765c22c6bf3687b0",
@@ -148,9 +148,9 @@ LIFT_STDOUT_SHA256 = {
     "egorov-m4-2exp/sasaki-tm": "b28949d81bd93463cb250cb71918048e468d0bb9747c564651ab4a0602e7b80f",
     "egorov-m4-2exp/complete-tm": "84f653548c93caa3d1d006e2d09e279b716db6ddc8c715a73dfa362ee802f0ac",
     "egorov-m4-2exp/sasaki-ctm": "4e23c7db57abcd29b70ee760036c9cde4486c006204cab4bebaf768101cf7db9",
-    "godel-2h/sasaki-tm": "97aca32132a0886384568d99e28e9b3b818e2bb3e8aad920f6323a711b42774b",
+    "godel-2h/sasaki-tm": "7e36bcbeb0b3b5f59a79efa4babed67ad07b92eaa51cf5b9be4f855c18d13270",
     "godel-2h/complete-tm": "a7bedd5f11df70947a9206114d938ac4787452975edc4f5f1c52346da77f538b",
-    "godel-2h/sasaki-ctm": "9f97038a5a0277b8d7bb3d6750f00a7584b2cfede2c32d929c403fa2dbfa3a4b",
+    "godel-2h/sasaki-ctm": "1b7a566fbbe476c823d2f4dbc428317f8f7baf22371c4f72561d25537dc23238",
     "walker-x2x3/sasaki-tm": "586fec8eb6ae2b413c8607cb526c4c4d7e5bf49eff2491d207e519a30714646f",
     "walker-x2x3/complete-tm": "0b45ec7ca83e291cf465627aebba273908dfdf7c219a9c26df4099d6a066704b",
     "walker-x2x3/sasaki-ctm": "15bb0cf07fda660aa3d509a2a62f2d885b62048651ef2048494b3404623deb6a",
