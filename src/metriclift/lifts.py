@@ -375,13 +375,12 @@ def lift_to_chart(
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
     elif kind in (LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM):
-        # F^T diag(g, H) F with F = [[I, 0], [A, I]]: H is g on TM and
-        # g^-1 on T*M, where A is built without its minus sign, which only
-        # the off-diagonal block sees
+        # F^T diag(g, H) F with F = [[I, 0], [sA, I]]: H = g and s = 1 on
+        # TM, H = g^-1 and s = -1 on T*M; s shows only off the diagonal
         gamma, ginv = _symbolic_christoffels(g, dmemo)
         if kind.cotangent:
             H = ginv
-            # A_{ki} = -p_a Gamma^a_{ki} is symmetric: one tree per pair
+            # A_{ki} = p_a Gamma^a_{ki} is symmetric: one tree per pair
             A = [[None] * m for _ in range(m)]
             for k in range(m):
                 for i in range(k, m):
@@ -389,7 +388,7 @@ def lift_to_chart(
                         ex.mul(w[a], gamma[a][k][i]) for a in range(m)
                     )
         else:
-            H = comp
+            H = comp  # A^k_i = u^h Gamma^k_{hi}
             A = [
                 [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
                 for k in range(m)
