@@ -66,7 +66,11 @@ DEFAULTS = {"samples": 64, "tol": 1e-9, "seed": 42, "lift": "none"}
 
 
 class ManifestError(ValueError):
-    pass
+    """An input error in the manifest, reported under ``kind``."""
+
+    def __init__(self, message: str, kind: str = "ManifestError"):
+        super().__init__(message)
+        self.kind = kind
 
 
 class UsageError(Exception):
@@ -98,6 +102,11 @@ def load_manifest(path: str) -> dict:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ManifestError(f"manifest {path!r} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        # json.loads recurses once per nesting level of the manifest's JSON
+        raise ManifestError(
+            f"the manifest's JSON is nested too deeply to read: {err}", kind="RecursionError"
+        ) from None
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
     return doc
@@ -424,10 +433,7 @@ def main(argv=None) -> int:
         OverflowError,
         TypeError,  # a manifest field of the wrong JSON type
     ) as err:
-        return _error(type(err).__name__, str(err))
-    except RecursionError as err:
-        # json.loads recurses once per nesting level of the manifest's JSON
-        return _error("RecursionError", f"the manifest's JSON is nested too deeply to read: {err}")
+        return _error(getattr(err, "kind", type(err).__name__), str(err))
     sys.stdout.write(out)
     return code
 
