@@ -306,6 +306,17 @@ class TestCheck:
         assert err["kind"] == "RecursionError"
         assert "manifest's JSON is nested too deeply" in err["message"]
 
+    def test_other_recursion_errors_propagate(self, tmp_path, capsys, monkeypatch):
+        # only json.loads' RecursionError is an input error; any other one
+        # is a fault, not a manifest nested too deeply
+        def recurse(manifest, need_hat):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "build_metrics", recurse)
+        path = write_manifest(tmp_path, "m.json", egorov_manifest())
+        with pytest.raises(RecursionError):
+            cli.main(["check", "--manifest", path])
+
 
 class TestLift:
     def test_lift_none_echoes_manifest(self, tmp_path, capsys):
