@@ -209,11 +209,22 @@ _BINARY = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG = (3, "neg")
 
 
+def _symbol_index(symbols: Sequence[str]) -> dict:
+    """Name -> index of each declared symbol, for :class:`_Parser`; built
+    once per symbol list, however many sources are parsed over it."""
+    if not symbols:
+        raise ValueError("symbol list must be nonempty")
+    index = {name: i for i, name in enumerate(symbols)}
+    if len(index) != len(symbols):
+        raise ValueError("symbol names must be distinct")
+    return index
+
+
 class _Parser:
-    def __init__(self, source: str, symbols: Sequence[str], table: dict, names: dict):
+    def __init__(self, source: str, symbols: dict, table: dict, names: dict):
         self.source = source
         self.tokens = _tokenize(source)
-        self.symbols = {name: i for i, name in enumerate(symbols)}
+        self.symbols = symbols
         self.table = table
         self.names = names
 
@@ -324,12 +335,11 @@ def parse_expression(
 
     Parsing is one loop over the tokens and every walk over the parsed
     DAG is a loop, so text and names may nest to any depth."""
-    if not symbols:
-        raise ValueError("symbol list must be nonempty")
-    if len(set(symbols)) != len(symbols):
-        raise ValueError("symbol names must be distinct")
     return _Parser(
-        source, symbols, {} if table is None else table, {} if names is None else names
+        source,
+        _symbol_index(symbols),
+        {} if table is None else table,
+        {} if names is None else names,
     ).parse()
 
 
@@ -356,9 +366,10 @@ def parse_definitions(
         if name in names:
             raise ExprError(f"definition '{name}' is given more than once")
         names[name] = None
+    index = _symbol_index(symbols)
     for name, source in pairs:
         try:
-            node = parse_expression(source, symbols, table, names)
+            node = _Parser(source, index, table, names).parse()
         except ExprSyntaxError as err:
             raise ExprError(f"in definition '{name}': {err}") from None
         names[name] = node

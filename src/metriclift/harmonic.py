@@ -20,16 +20,22 @@ g's inverse,
     tau = 1/2 (ghat^{-1} chat - g^{-1} c)
         = 1/2 ghat^{-1} ((chat - c) - (ghat - g) g^{-1} c) ,
 
-which costs O(m^3) per point: one inverse of g and one linear solve
-against ghat with a single right-hand side.  The second form keeps the
-tension of a metric against itself exactly zero.
+which costs O(m^3) per point: g's inverse and one linear solve against
+ghat with a single right-hand side.  The second form keeps the tension
+of a metric against itself exactly zero.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
-verdict.  Each metric is evaluated once per batch of candidate points:
-the jets that screen out degenerate candidates are the jets the residual
-is computed from.  A sampled verdict never claims global harmonicity,
-hence the wording "harmonic-on-samples".
+verdict.  Each metric is evaluated and factored once per batch of
+candidate points: the jets that screen out degenerate candidates are the
+jets the residual is computed from, and one pivoted elimination per
+metric gives both the determinant of the screen and g's inverse (for g)
+or the solve (for ghat).  A batch of ``ELIMINATION_MIN_POINTS`` points or
+more runs a Gauss-Jordan elimination vectorised along the sample axis of
+the points-last jets; a smaller one calls LAPACK per matrix, whose
+per-call cost is lower there, and so factors each matrix twice (the
+determinant, then the inverse or solve).  A sampled verdict never claims
+global harmonicity, hence the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
-    _check_nondegenerate,
+    MetricDegenerate,
     _checked_inverse,
     _gamma_from_inverse,
     metric_jets_at,
@@ -69,6 +75,10 @@ VERDICT_NOT = "not-harmonic"
 # samples x d floats up front, so an unchecked count is an unbounded
 # allocation.
 MAX_SAMPLES = 65_536
+
+# Sample batches of at least this many points are factored by the
+# vectorised elimination, smaller ones by LAPACK (see ``_solve``).
+ELIMINATION_MIN_POINTS = 256
 
 
 class SamplingExhausted(RuntimeError):
@@ -143,6 +153,66 @@ def _require_same_chart(g: ChartedMetric, ghat: ChartedMetric):
         )
 
 
+def _eliminate(A: np.ndarray, B: np.ndarray):
+    """``(det, X)``: det A and the solution of A X = B, by one Gauss-Jordan
+    elimination with partial pivoting, vectorised over the trailing sample
+    axis: ``A`` is ``(m, m, N)``, ``B`` is ``(m, r, N)`` and ``X`` is
+    ``(m, r, N)``.  Pivot rows are not rescaled during the sweep: the
+    pivots stay on the diagonal, so det is their product (with the sign of
+    the row swaps) and X is the right-hand side over them.  At a sample
+    where A is singular a pivot is zero, so det is 0 and X is not finite
+    there, without a warning; the caller screens on det."""
+    m, n = A.shape[0], A.shape[-1]
+    M = np.concatenate((A, B), axis=1)
+    # a rank per row, highest first: of equally large pivot candidates the
+    # first wins, as with argmax, which loops per sample along axis 0
+    rank, points = np.arange(m - 1, -1, -1)[:, None], np.arange(n)
+    odd = np.zeros(n, dtype=bool)  # rows swapped an odd number of times
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            if k < m - 1:
+                cand = np.abs(M[k:, k])
+                p = (m - 1 - k) - ((cand == cand.max(axis=0)) * rank[k:]).max(axis=0)
+                if p.any():
+                    rows = M[k:, k:]
+                    top = rows[p, :, points]
+                    rows[p, :, points] = rows[0].T
+                    rows[0] = top.T
+                    odd ^= p > 0
+            f = M[:, k] / M[k, k]
+            f[k] = 0.0
+            if f.any():  # else column k is clear already, as in diagonal blocks
+                M[:, k + 1 :] -= f[:, None] * M[k, k + 1 :]
+        pivots = np.diagonal(M).T
+        det = pivots.prod(axis=0)
+        # a zero pivot stays on the diagonal, but the NaN it spreads
+        # through the later pivots would hide it in their product
+        det[(pivots == 0.0).any(axis=0)] = 0.0
+        np.negative(det, out=det, where=odd)
+        return det, M[:, m:] / pivots[:, None]
+
+
+def _solve(A: np.ndarray, B: np.ndarray):
+    """``(det, X)``: det A and the solution of A X = B for a batch of
+    points, ``A`` ``(N, m, m)`` and ``B`` ``(N, m, r)``.  From
+    ``ELIMINATION_MIN_POINTS`` points on, one :func:`_eliminate` over the
+    points-last arrays gives both.  Smaller batches call LAPACK per
+    matrix (``np.linalg.det``, then ``np.linalg.solve``): at those sizes
+    the numpy calls of each elimination step cost more than factoring
+    twice.  Either way ``X`` is an ``(N, m, r)`` view of a points-last
+    array.  Where A is singular X is meaningless, without an error or a
+    warning; the caller screens on det."""
+    if A.shape[0] >= ELIMINATION_MIN_POINTS:
+        det, X = _eliminate(A.transpose(1, 2, 0), B.transpose(1, 2, 0))
+        return det, X.transpose(2, 0, 1)
+    det = np.linalg.det(A)
+    singular = ~(np.abs(det) > 0.0)  # a zero pivot, or NaN entries
+    if singular.any():
+        A = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
+    X = np.linalg.solve(A, B)
+    return det, X.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+
+
 def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     """c_l = g^{ij} C_{lij} = 2 g^{ij} d_i g_jl - g^{ij} d_l g_ij, where
     ``dG[..., i, j, k] = d_k g_ij`` may belong to another metric than
@@ -150,6 +220,27 @@ def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...ij,...jli->...l", ginv, dG) - np.einsum(
         "...ij,...ijl->...l", ginv, dG
     )
+
+
+def _identity_tension(G, dG, Gh, dGh):
+    """``(det g, det ghat, tau)`` from first jets of both metrics at a
+    batch of ``N`` points; ``tau`` is ``(N, m)``.
+
+    :func:`_solve` gives det g and g's inverse, then det ghat and the
+    solve (see the module docstring).  On the points-last jets of
+    :func:`metric_jets_at` the contractions run along contiguous sample
+    rows.  At a point where either determinant is zero tau is
+    meaningless; the caller screens on the determinants.
+    """
+    eye = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
+    with np.errstate(all="ignore"):
+        det, ginv = _solve(G, eye)
+        c = _contracted_christoffel(ginv, dG)
+        c_hat = _contracted_christoffel(ginv, dGh)
+        v = np.einsum("...kl,...l->...k", ginv, c)
+        rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
+        det_hat, x = _solve(Gh, rhs[..., None])
+    return det, det_hat, 0.5 * x[..., 0]
 
 
 def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
@@ -160,25 +251,19 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
     chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
     inverse is never formed.  Raises :class:`MetricDegenerate` naming the
-    first point where either metric has |det| <= 1e-12.
+    first point where g, else ghat, has |det| <= 1e-12.
     """
     _require_same_chart(g, ghat)
-    G, dG, _ = metric_jets_at(g, x, order=1)
-    Gh, dGh, _ = metric_jets_at(ghat, x, order=1)
-    _check_nondegenerate(G, x)
-    _check_nondegenerate(Gh, x)
-    return _identity_tension(G, dG, Gh, dGh)
-
-
-def _identity_tension(G, dG, Gh, dGh) -> np.ndarray:
-    """The tension of :func:`tension_identity_at` from first jets of both
-    metrics, which the caller has screened for degeneracy."""
-    ginv = np.linalg.inv(G)
-    c = _contracted_christoffel(ginv, dG)
-    c_hat = _contracted_christoffel(ginv, dGh)
-    v = np.einsum("...kl,...l->...k", ginv, c)
-    rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
-    return 0.5 * np.linalg.solve(Gh, rhs[..., None])[..., 0]
+    pt = np.asarray(x, dtype=float)
+    flat = pt.reshape(-1, pt.shape[-1])
+    G, dG, _ = metric_jets_at(g, flat, order=1)
+    Gh, dGh, _ = metric_jets_at(ghat, flat, order=1)
+    det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+    for d in (det, det_hat):
+        bad = np.flatnonzero(np.abs(d) <= DEGENERACY_EPS)
+        if bad.size:
+            raise MetricDegenerate(flat[bad[0]], d[bad[0]])
+    return tau.reshape(pt.shape)
 
 
 def tension_map_at(
@@ -272,18 +357,19 @@ def _collect_samples(
 ):
     """First ``samples`` lattice points of the box ``domain`` whose leading
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
-    most 10x candidates, with both metrics' first jets there.
+    most 10x candidates, with the identity tension there.
 
     Each candidate batch takes one order-1 ``metric_jets_at`` pass per
-    metric; the screen |det G| > 1e-12 reads the G of those jets, and the
-    kept rows' jets are what the residual runs on, so no metric is
-    evaluated twice at a point.  When the whole batch is kept its arrays
-    are returned as they are.  ``domain`` is the shared box, or for a lift
-    the shared box times the fiber box.
+    metric, and :func:`_identity_tension` on all of its candidates: the
+    screen |det| > 1e-12 reads the determinants of the factorizations
+    that give the tension, so no metric is evaluated twice at a point.
+    When the whole batch is kept its arrays are returned as they are.
+    ``domain`` is the shared box, or for a lift the shared box times the
+    fiber box.
 
-    Returns ``(points, jets, hat_jets, scanned, rejected)``: ``jets`` and
-    ``hat_jets`` are ``(G, dG)`` of ``g`` and ``ghat`` at the kept points,
-    and ``rejected`` of the ``scanned`` candidates failed the screen.
+    Returns ``(points, tau, scanned, rejected)``: ``tau`` is the tension
+    at the kept points, and ``rejected`` of the ``scanned`` candidates
+    failed the screen.
     """
     m = g.dim
     batches = []
@@ -292,17 +378,16 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        jets = metric_jets_at(g, cand[:, :m], order=1)[:2]
-        hat_jets = metric_jets_at(ghat, cand[:, :m], order=1)[:2]
-        ok = (np.abs(np.linalg.det(jets[0])) > DEGENERACY_EPS) & (
-            np.abs(np.linalg.det(hat_jets[0])) > DEGENERACY_EPS
-        )
+        G, dG, _ = metric_jets_at(g, cand[:, :m], order=1)
+        Gh, dGh, _ = metric_jets_at(ghat, cand[:, :m], order=1)
+        det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+        ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
         rejected += cand.shape[0] - keep.size
         keep = keep[: samples - count]
-        batch = (cand,) + jets + hat_jets
+        batch = (cand, tau)
         if keep.size < cand.shape[0]:
-            batch = tuple(a[keep] for a in batch)
+            batch = (cand[keep], tau[keep])
         batches.append(batch)
         count += keep.size
     if count < samples:
@@ -311,20 +396,20 @@ def _collect_samples(
             f"after scanning {scanned} candidates"
         )
     if len(batches) == 1:
-        out = batches[0]
+        pts, tau = batches[0]
     else:
-        out = tuple(np.concatenate(parts) for parts in zip(*batches))
-    return out[0], out[1:3], out[3:5], scanned, rejected
+        pts, tau = (np.concatenate(parts) for parts in zip(*batches))
+    return pts, tau, scanned, rejected
 
 
 def _sampled_report(
     g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
 ) -> HarmonicityReport:
-    """Shared core of the sampled checks: ``residual(points, jets,
-    hat_jets)`` maps the kept points ``(N, d)`` and both metrics' first
-    jets there (see :func:`_collect_samples`) to residuals ``(N, c)``; the
-    report gives the worst absolute residual (first sample on ties) and
-    the per-component maxima."""
+    """Shared core of the sampled checks: ``residual(tau)`` maps the
+    identity tension at the kept points ``(N, d)`` (see
+    :func:`_collect_samples`) to residuals ``(N, c)``; the report gives the
+    worst absolute residual (first sample on ties) and the per-component
+    maxima."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
@@ -332,10 +417,8 @@ def _sampled_report(
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     _require_same_chart(g, ghat)
-    pts, jets, hat_jets, scanned, rejected = _collect_samples(
-        g, ghat, domain, samples, seed
-    )
-    abs_r = np.abs(residual(pts, jets, hat_jets))
+    pts, tau, scanned, rejected = _collect_samples(g, ghat, domain, samples, seed)
+    abs_r = np.abs(residual(tau))
     bad = np.argwhere(~np.isfinite(abs_r))
     if bad.size:
         i, c = bad[0]
@@ -373,7 +456,7 @@ def check_harmonic(
         g,
         ghat,
         shared_domain(g, ghat),
-        lambda pts, jets, hat: _identity_tension(*jets, *hat),
+        lambda tau: tau,
         samples,
         tol,
         seed,

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import ExprAst
-from .harmonic import _identity_tension, _sampled_report, lattice_points, shared_domain
+from .harmonic import _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
     _check_nondegenerate,
@@ -498,8 +498,7 @@ def check_lift_conditions(
     m = g.dim
     complete = kind is LiftKind.COMPLETE_TM
 
-    def residual(pts, jets, hat_jets):
-        tau = _identity_tension(*jets, *hat_jets)
+    def residual(tau):
         zero = np.zeros_like(tau)
         return np.concatenate((zero, 2.0 * tau) if complete else (tau, zero), axis=-1)
 

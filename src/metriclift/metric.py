@@ -106,9 +106,10 @@ class ChartedMetric:
         """Parse a matrix of expression strings.  Mirror entries must be
         textually identical; the parsed upper triangle is shared, and so
         is every subtree that occurs more than once in the matrix.
-        ``table`` and ``names`` are passed to
+        ``table`` and ``names`` are as for
         :func:`exprlang.parse_expression`: one table shares subtrees with
-        other charts, and ``names`` resolves named definitions."""
+        other charts, and ``names`` resolves named definitions.  The
+        symbol index is built once for all entries."""
         coords = tuple(coords)
         m = len(coords)
         if len(entries) != m or any(len(r) != m for r in entries):
@@ -120,11 +121,12 @@ class ChartedMetric:
                         f"metric entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) "
                         "must be identical"
                     )
-        if table is None:
-            table = {}
+        index = ex._symbol_index(coords) if m else {}  # __post_init__ refuses m = 0
+        table = {} if table is None else table
+        names = {} if names is None else names
         parsed = [
             [
-                ex.parse_expression(str(entries[i][j]), coords, table, names)
+                ex._Parser(str(entries[i][j]), index, table, names).parse()
                 if j >= i
                 else None
                 for j in range(m)
@@ -191,27 +193,44 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     ``order=1``).  Shared subtrees across components are evaluated once.
     Each component is differentiated only in the coordinates it depends
     on (its jet's support); its other derivatives stay exact zeros.
+
+    The arrays are stored points-last: for a batch ``x`` of shape
+    ``(N, m)``, ``G``, ``dG`` and ``d2G`` are ``(N, ...)`` views of
+    C-contiguous ``(m, m, N)``, ``(m, m, m, N)`` and ``(m, m, m, m, N)``
+    arrays, so each component's value and derivatives are written as
+    contiguous rows, and ``np.moveaxis(A, 0, -1)`` recovers the
+    contiguous array.  A point ``(m,)`` or any other batch shape is
+    evaluated as its flattened list of points.
     """
     pt = _point_env(g, x)
     m = g.dim
-    env = [Jet2.coordinate(pt[..., i], i, order) for i in range(m)]
-    memo: dict = {}
     base = pt.shape[:-1]
-    G = np.empty(base + (m, m))
-    dG = np.zeros(base + (m, m, m))
-    d2G = np.zeros(base + (m, m, m, m)) if order >= 2 else None
+    flat = pt.reshape(-1, m)
+    n = flat.shape[0]
+    env = [Jet2.coordinate(flat[:, i], i, order) for i in range(m)]
+    memo: dict = {}
+    G = np.empty((m, m, n))
+    dG = np.zeros((m, m, m, n))
+    d2G = np.zeros((m, m, m, m, n)) if order >= 2 else None
     for i in range(m):
         for j in range(i, m):
             out = ex.evaluate(g.components[i][j], env, memo)
             if not isinstance(out, Jet2):  # a constant entry
-                G[..., i, j] = G[..., j, i] = out
+                G[i, j] = G[j, i] = out
                 continue
-            G[..., i, j] = G[..., j, i] = out.value
+            G[i, j] = G[j, i] = out.value
             s = np.array(out.support)
-            dG[..., i, j, s] = dG[..., j, i, s] = out.grad
+            dG[i, j, s] = dG[j, i, s] = out.grad.T
             if order >= 2:
-                d2G[..., i, j, s[:, None], s] = d2G[..., j, i, s[:, None], s] = out.hess
-    return G, dG, d2G
+                hess = out.hess.transpose(1, 2, 0)
+                d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = hess
+
+    def points_first(a):
+        if a is None:
+            return None
+        return a.transpose(-1, *range(a.ndim - 1)).reshape(base + a.shape[:-1])
+
+    return points_first(G), points_first(dG), points_first(d2G)
 
 
 def _check_nondegenerate(G: np.ndarray, x) -> None:
