@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -805,3 +806,57 @@ def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command, gl
         code = cli.main(argv)
     assert code in (0, 1, 2)
     strict_json(out.getvalue())
+
+
+# `tensors` on family and explicit manifests, by dimension: Egorov, Walker,
+# Goedel and the dense charts of conftest, at three points each.
+TENSORS_MANIFESTS = {
+    "egorov-m4": (4, {"family": {"name": "egorov", "m": 4, "f": "cosh(x4) + x4"}}),
+    "walker": (4, {"family": {"name": "walker", "a": "sin(x3)", "b": "x1*x4", "c": "x2"}}),
+    "godel": (4, {"family": {"name": "godel", "H": "x2^2", "P": "exp(x2)"}}),
+    **{
+        f"dense-m{m}": (m, {"dimension": m, "metric": dense_metric(m).component_sources()})
+        for m in (2, 3, 4)
+    },
+}
+TENSORS_POINTS = {
+    2: ["0.3,-0.45", "-0.7,0.2", "0.05,0.9"],
+    3: ["0.3,-0.45,0.6", "-0.7,0.2,-0.15", "0.05,0.9,0.35"],
+    4: ["0.3,0.45,-0.6,0.1", "-0.7,0.2,0.15,-0.85", "0.05,0.9,0.35,0.5"],
+}
+TENSORS_CASES = [
+    (f"{name}@{k}", doc, at)
+    for name, (m, doc) in TENSORS_MANIFESTS.items()
+    for k, at in enumerate(TENSORS_POINTS[m])
+]
+
+# sha256 of the `tensors` stdout of each case
+TENSORS_STDOUT_SHA256 = {
+    "egorov-m4@0": "ecf6c90f1ecb5e37be903d2ab8966b4e3519cd699735aa8c775b44a605197316",
+    "egorov-m4@1": "336c6068bfa72f86b1f801d62239fb1b754ab5117d12300c00190d038446ff21",
+    "egorov-m4@2": "cbaf6e9c4715e511de36ec2dc33104bd7aeeaa7615f3d1530a99b3b9b0956675",
+    "walker@0": "e1236684bca7929fa466c23040cda0e990be141fd12ee3a89559b2aaa5b54465",
+    "walker@1": "de9f53b46c00b08ad56c5ec901010c203a07faa14920d758bc7a99015474498a",
+    "walker@2": "ac9c2c684d347091572dec5e5d5b9b6155b4f8d17e926312e386c6ce14045b44",
+    "godel@0": "a1097ad7b233bda159e88b3fea3a3caa5275c97ea25df3803345a901255c8af4",
+    "godel@1": "6979553583189cf7fcef2bf8f0a3c85e2d1506db7fd06ce0cffa145d5aee5c12",
+    "godel@2": "6c99d49fa762c0a8a3b7273f7fff2751b8b02529c5858d53e0035c89d680ad8b",
+    "dense-m2@0": "ec26080b26e64f1ddf50eea6d8010a643ad10f761e9372506e72332dc12aebf1",
+    "dense-m2@1": "25466380c04b1a0249f160b36d6942760d485f394f39b7e74bfd7ef1a48b8b15",
+    "dense-m2@2": "46672489eef3ed5708741596f7bf6e408896353ebad4997541b9684d2427f007",
+    "dense-m3@0": "c426d0beb0e57b16861c1c98cda38898661b42433da3fac787adbd59fa69622c",
+    "dense-m3@1": "677e2e4ec32b467c49c25e264f51cb8dfde46a3ae27161b00cd95d5672347b41",
+    "dense-m3@2": "396a99eb80bbd7dc0f86311be5213e96e78af12b3f9f5b3730627141fd33c8b1",
+    "dense-m4@0": "b8ac7f7df6a58f6fc36b247eabb6698ffce169f827926110bc97ae98ad6cb086",
+    "dense-m4@1": "64c0d82180998a2fb23bed73f8e49788f0961ef90a64778d8c677420f61fc9c9",
+    "dense-m4@2": "1bfdbee7a344544cbb55b4924a75c627671d1955903086053d91afa7548e1a07",
+}
+
+
+@pytest.mark.parametrize("case", TENSORS_CASES, ids=[c[0] for c in TENSORS_CASES])
+def test_tensors_stdout_unchanged(case, tmp_path, capsys):
+    label, doc, at = case
+    path = write_manifest(tmp_path, "m.json", doc)
+    code, out = run_cli(capsys, "tensors", "--manifest", path, f"--at={at}")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TENSORS_STDOUT_SHA256[label]
