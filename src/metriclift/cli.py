@@ -52,9 +52,9 @@ from .lifts import LiftKind, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
     MetricDegenerate,
-    christoffel_at,
-    curvature_at,
-    inverse_metric_at,
+    _checked_inverse,
+    _riemann,
+    christoffel_and_derivative_at,
     metric_at,
     shared_component_sources,
 )
@@ -368,9 +368,9 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
     g, _ = build_metrics(manifest, need_hat=False)
     x = _parse_point(args.at, g.dim)
     G = metric_at(g, x)
-    Ginv = inverse_metric_at(g, x)
-    gamma = christoffel_at(g, x)
-    riem = curvature_at(g, x)
+    Ginv = _checked_inverse(G, x)
+    gamma, dgamma = christoffel_and_derivative_at(g, x)
+    riem = _riemann(gamma, dgamma)
     nonzero = {}
     m = g.dim
     for k in range(m):

@@ -30,7 +30,6 @@ import numpy as np
 
 from . import exprlang as ex
 from .exprlang import EvalDomainError
-from .jets import Jet2, as_jet2
 from .metric import ChartedMetric, mirror_components
 
 __all__ = [
@@ -59,6 +58,14 @@ def _profile_values(source: str, var: str, interval) -> np.ndarray:
     lo, hi = interval
     ts = np.linspace(lo, hi, _PROFILE_CHECK_SAMPLES)
     return np.asarray(ex.evaluate(expr, [ts]))
+
+
+def _profile_jet(source: str, var: str, t):
+    """Value and first derivative of the profile ``source`` over ``var``
+    at ``t``; a constant profile gives arrays too."""
+    expr = ex.parse_expression(source, [var])
+    jet = ex.eval_jet2(expr, np.asarray(t, dtype=float)[..., None])
+    return jet.value, jet.grad[..., 0]
 
 
 @dataclass(frozen=True)
@@ -123,15 +130,13 @@ def egorov_metric(spec: EgorovSpec) -> ChartedMetric:
 def egorov_residual_closed_form(spec: EgorovSpec, fhat: str, x) -> float:
     """(m-2)(f' - fhat')/(2f) evaluated at the last coordinate of ``x``;
     the single possibly-nonzero tension component of an Egorov pair."""
-    pt = np.asarray(x, dtype=float)
-    t = pt[..., spec.m - 1]
-    var = [f"x{spec.m}"]
-    f_ast = ex.parse_expression(spec.f, var)
-    jf = ex.evaluate(f_ast, [Jet2.variable(t, 0, 1)])
-    jh = ex.evaluate(ex.parse_expression(fhat, var), [Jet2.variable(t, 0, 1)])
-    if np.any(jf.value <= 0.0) or np.any(jh.value <= 0.0):
-        raise EvalDomainError("profile must stay positive", f_ast)
-    out = (spec.m - 2) * (jf.grad[..., 0] - jh.grad[..., 0]) / (2.0 * jf.value)
+    t = np.asarray(x, dtype=float)[..., spec.m - 1]
+    var = f"x{spec.m}"
+    f, df = _profile_jet(spec.f, var, t)
+    fh, dfh = _profile_jet(fhat, var, t)
+    if np.any(f <= 0.0) or np.any(fh <= 0.0):
+        raise EvalDomainError("profile must stay positive", ex.parse_expression(spec.f, [var]))
+    out = (spec.m - 2) * (df - dfh) / (2.0 * f)
     return float(out) if out.ndim == 0 else out
 
 
@@ -172,16 +177,9 @@ def godel_metric(spec: GodelSpec) -> ChartedMetric:
 def godel_condition(spec: GodelSpec, spec_hat: GodelSpec, x2) -> float:
     """Hhat'(Hhat - H) - Phat Phat' + P P' at radius ``x2``; the scalar
     obstruction to harmonicity of the hatted pair (zero iff harmonic)."""
-    t = np.asarray(x2, dtype=float)
-    env = [Jet2.variable(t, 0, 1)]
-
-    def jval(source):
-        out = as_jet2(ex.evaluate(ex.parse_expression(source, ["x2"]), env), t.shape, 1)
-        return out.value, out.grad[..., 0]
-
-    Hv, Hd = jval(spec.H)
-    Pv, Pd = jval(spec.P)
-    Hhv, Hhd = jval(spec_hat.H)
-    Phv, Phd = jval(spec_hat.P)
+    Hv, Hd = _profile_jet(spec.H, "x2", x2)
+    Pv, Pd = _profile_jet(spec.P, "x2", x2)
+    Hhv, Hhd = _profile_jet(spec_hat.H, "x2", x2)
+    Phv, Phd = _profile_jet(spec_hat.P, "x2", x2)
     out = Hhd * (Hhv - Hv) - Phv * Phd + Pv * Pd
     return float(out) if np.ndim(out) == 0 else out

@@ -28,14 +28,11 @@ of a metric against itself exactly zero.
 low-discrepancy lattice over the shared sampling box and renders a
 verdict.  Each metric is evaluated and factored once per batch of
 candidate points: the jets that screen out degenerate candidates are the
-jets the residual is computed from, and one pivoted elimination per
-metric gives both the determinant of the screen and g's inverse (for g)
-or the solve (for ghat).  A batch of ``ELIMINATION_MIN_POINTS`` points or
-more runs a Gauss-Jordan elimination vectorised along the sample axis of
-the points-last jets; a smaller one calls LAPACK per matrix, whose
-per-call cost is lower there, and so factors each matrix twice (the
-determinant, then the inverse or solve).  A sampled verdict never claims
-global harmonicity, hence the wording "harmonic-on-samples".
+jets the residual is computed from, and the factorization of
+``metric._solve`` (described in the ``metric`` module docstring) gives
+both the determinant of the screen and g's inverse (for g) or the solve
+(for ghat).  A sampled verdict never claims global harmonicity, hence
+the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -49,9 +46,10 @@ from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
-    MetricDegenerate,
     _checked_inverse,
     _gamma_from_inverse,
+    _screen,
+    _solve,
     metric_jets_at,
 )
 
@@ -75,10 +73,6 @@ VERDICT_NOT = "not-harmonic"
 # samples x d floats up front, so an unchecked count is an unbounded
 # allocation.
 MAX_SAMPLES = 65_536
-
-# Sample batches of at least this many points are factored by the
-# vectorised elimination, smaller ones by LAPACK (see ``_solve``).
-ELIMINATION_MIN_POINTS = 256
 
 
 class SamplingExhausted(RuntimeError):
@@ -153,66 +147,6 @@ def _require_same_chart(g: ChartedMetric, ghat: ChartedMetric):
         )
 
 
-def _eliminate(A: np.ndarray, B: np.ndarray):
-    """``(det, X)``: det A and the solution of A X = B, by one Gauss-Jordan
-    elimination with partial pivoting, vectorised over the trailing sample
-    axis: ``A`` is ``(m, m, N)``, ``B`` is ``(m, r, N)`` and ``X`` is
-    ``(m, r, N)``.  Pivot rows are not rescaled during the sweep: the
-    pivots stay on the diagonal, so det is their product (with the sign of
-    the row swaps) and X is the right-hand side over them.  At a sample
-    where A is singular a pivot is zero, so det is 0 and X is not finite
-    there, without a warning; the caller screens on det."""
-    m, n = A.shape[0], A.shape[-1]
-    M = np.concatenate((A, B), axis=1)
-    # a rank per row, highest first: of equally large pivot candidates the
-    # first wins, as with argmax, which loops per sample along axis 0
-    rank, points = np.arange(m - 1, -1, -1)[:, None], np.arange(n)
-    odd = np.zeros(n, dtype=bool)  # rows swapped an odd number of times
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(m):
-            if k < m - 1:
-                cand = np.abs(M[k:, k])
-                p = (m - 1 - k) - ((cand == cand.max(axis=0)) * rank[k:]).max(axis=0)
-                if p.any():
-                    rows = M[k:, k:]
-                    top = rows[p, :, points]
-                    rows[p, :, points] = rows[0].T
-                    rows[0] = top.T
-                    odd ^= p > 0
-            f = M[:, k] / M[k, k]
-            f[k] = 0.0
-            if f.any():  # else column k is clear already, as in diagonal blocks
-                M[:, k + 1 :] -= f[:, None] * M[k, k + 1 :]
-        pivots = np.diagonal(M).T
-        det = pivots.prod(axis=0)
-        # a zero pivot stays on the diagonal, but the NaN it spreads
-        # through the later pivots would hide it in their product
-        det[(pivots == 0.0).any(axis=0)] = 0.0
-        np.negative(det, out=det, where=odd)
-        return det, M[:, m:] / pivots[:, None]
-
-
-def _solve(A: np.ndarray, B: np.ndarray):
-    """``(det, X)``: det A and the solution of A X = B for a batch of
-    points, ``A`` ``(N, m, m)`` and ``B`` ``(N, m, r)``.  From
-    ``ELIMINATION_MIN_POINTS`` points on, one :func:`_eliminate` over the
-    points-last arrays gives both.  Smaller batches call LAPACK per
-    matrix (``np.linalg.det``, then ``np.linalg.solve``): at those sizes
-    the numpy calls of each elimination step cost more than factoring
-    twice.  Either way ``X`` is an ``(N, m, r)`` view of a points-last
-    array.  Where A is singular X is meaningless, without an error or a
-    warning; the caller screens on det."""
-    if A.shape[0] >= ELIMINATION_MIN_POINTS:
-        det, X = _eliminate(A.transpose(1, 2, 0), B.transpose(1, 2, 0))
-        return det, X.transpose(2, 0, 1)
-    det = np.linalg.det(A)
-    singular = ~(np.abs(det) > 0.0)  # a zero pivot, or NaN entries
-    if singular.any():
-        A = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
-    X = np.linalg.solve(A, B)
-    return det, X.transpose(1, 2, 0).copy().transpose(2, 0, 1)
-
-
 def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     """c_l = g^{ij} C_{lij} = 2 g^{ij} d_i g_jl - g^{ij} d_l g_ij, where
     ``dG[..., i, j, k] = d_k g_ij`` may belong to another metric than
@@ -222,16 +156,16 @@ def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     )
 
 
-def _identity_tension(G, dG, Gh, dGh):
-    """``(det g, det ghat, tau)`` from first jets of both metrics at a
-    batch of ``N`` points; ``tau`` is ``(N, m)``.
-
-    :func:`_solve` gives det g and g's inverse, then det ghat and the
-    solve (see the module docstring).  On the points-last jets of
-    :func:`metric_jets_at` the contractions run along contiguous sample
-    rows.  At a point where either determinant is zero tau is
-    meaningless; the caller screens on the determinants.
+def _identity_tension(g: ChartedMetric, ghat: ChartedMetric, x):
+    """``(det g, det ghat, tau)`` at a batch ``x`` of ``N`` points, ``tau``
+    ``(N, m)``: one order-1 :func:`metric_jets_at` pass per metric, then
+    ``metric._solve`` for det g and g's inverse, and for det ghat and the
+    solve (see the module docstring).  On the points-last jets the
+    contractions run along contiguous sample rows.  Where either det is
+    not above 1e-12 tau is meaningless; the caller screens on the dets.
     """
+    G, dG, _ = metric_jets_at(g, x, order=1)
+    Gh, dGh, _ = metric_jets_at(ghat, x, order=1)
     eye = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
     with np.errstate(all="ignore"):
         det, ginv = _solve(G, eye)
@@ -239,8 +173,8 @@ def _identity_tension(G, dG, Gh, dGh):
         c_hat = _contracted_christoffel(ginv, dGh)
         v = np.einsum("...kl,...l->...k", ginv, c)
         rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
-        det_hat, x = _solve(Gh, rhs[..., None])
-    return det, det_hat, 0.5 * x[..., 0]
+        det_hat, sol = _solve(Gh, rhs[..., None])
+    return det, det_hat, 0.5 * sol[..., 0]
 
 
 def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
@@ -251,18 +185,14 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
     chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
     inverse is never formed.  Raises :class:`MetricDegenerate` naming the
-    first point where g, else ghat, has |det| <= 1e-12.
+    first point where g, else ghat, has |det| not above 1e-12.
     """
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    G, dG, _ = metric_jets_at(g, flat, order=1)
-    Gh, dGh, _ = metric_jets_at(ghat, flat, order=1)
-    det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+    det, det_hat, tau = _identity_tension(g, ghat, flat)
     for d in (det, det_hat):
-        bad = np.flatnonzero(np.abs(d) <= DEGENERACY_EPS)
-        if bad.size:
-            raise MetricDegenerate(flat[bad[0]], d[bad[0]])
+        _screen(d, flat)
     return tau.reshape(pt.shape)
 
 
@@ -359,10 +289,10 @@ def _collect_samples(
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
     most 10x candidates, with the identity tension there.
 
-    Each candidate batch takes one order-1 ``metric_jets_at`` pass per
-    metric, and :func:`_identity_tension` on all of its candidates: the
-    screen |det| > 1e-12 reads the determinants of the factorizations
-    that give the tension, so no metric is evaluated twice at a point.
+    Each candidate batch takes one :func:`_identity_tension` on all of
+    its candidates: the screen |det| > 1e-12 reads the determinants of
+    the factorizations that give the tension, so no metric is evaluated
+    twice at a point.
     When the whole batch is kept its arrays are returned as they are.
     ``domain`` is the shared box, or for a lift the shared box times the
     fiber box.
@@ -378,9 +308,7 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        G, dG, _ = metric_jets_at(g, cand[:, :m], order=1)
-        Gh, dGh, _ = metric_jets_at(ghat, cand[:, :m], order=1)
-        det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+        det, det_hat, tau = _identity_tension(g, ghat, cand[:, :m])
         ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
         rejected += cand.shape[0] - keep.size

@@ -59,7 +59,7 @@ from .exprlang import ExprAst
 from .harmonic import _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
-    _check_nondegenerate,
+    _checked_inverse,
     _connection_from_inverse,
     _riemann,
     christoffel_and_derivative_at,
@@ -139,30 +139,31 @@ class LiftBlocks:
         return self.gamma_base.shape[0]
 
 
-def _bundle_box(base_box, m: int, fiber_interval):
+# Fiber box of every bundle chart, one interval per fiber coordinate.
+FIBER_INTERVAL = (-1.0, 1.0)
+
+
+def _bundle_box(base_box, m: int):
     """Sampling box of the bundle chart: base box times ``m`` fiber intervals."""
-    lo, hi = fiber_interval
-    return tuple(base_box) + tuple((float(lo), float(hi)) for _ in range(m))
+    return tuple(base_box) + (FIBER_INTERVAL,) * m
 
 
 def _base_jets(g: ChartedMetric, x):
-    """Second jets ``(G, dG, d2G)`` of ``g`` at base points ``x``; raises
-    :class:`MetricDegenerate` where |det G| <= 1e-12."""
+    """``(ginv, G, dG, d2G)``: g's screened inverse (``_checked_inverse``)
+    and second jets at base points ``x``."""
     if x.shape[-1] != g.dim:
         raise ValueError("fiber point dimension does not match the chart")
-    jets = metric_jets_at(g, x, order=2)
-    _check_nondegenerate(jets[0], x)
-    return jets
+    G, dG, d2G = metric_jets_at(g, x, order=2)
+    return _checked_inverse(G, x), G, dG, d2G
 
 
-def _lift_blocks(kind: LiftKind, G, dG, d2G, w):
+def _lift_blocks(kind: LiftKind, ginv, G, dG, d2G, w):
     """Lift blocks at bundle points with fiber part ``w`` of shape
-    ``(..., m)``, from the base metric's second jets at their base points
-    (screened for degeneracy by the caller): ``(metric, inverse,
+    ``(..., m)``, from the base metric's inverse and second jets at their
+    base points (screened by :func:`_base_jets`): ``(metric, inverse,
     gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)`` and
     ``(..., m, 2m, 2m)``."""
     m = G.shape[-1]
-    ginv = np.linalg.inv(G)
     gamma, dgamma = _connection_from_inverse(ginv, dG, d2G)
     batch = G.shape[:-2]
     metric = np.zeros(batch + (2 * m, 2 * m))
@@ -345,9 +346,7 @@ def _sum(terms) -> ExprAst:
     return acc
 
 
-def lift_to_chart(
-    g: ChartedMetric, kind: LiftKind, fiber_interval=(-1.0, 1.0)
-) -> ChartedMetric:
+def lift_to_chart(g: ChartedMetric, kind: LiftKind) -> ChartedMetric:
     """Lifted metric as a charted metric on the induced 2m-dimensional
     chart, assembled symbolically (coframe products over the component
     trees).  The horizontal lift takes the complete-lift assembly, as the
@@ -408,7 +407,7 @@ def lift_to_chart(
     else:
         raise ValueError(f"unknown lift kind: {kind!r}")
 
-    domain = _bundle_box(g.domain, m, fiber_interval)
+    domain = _bundle_box(g.domain, m)
     return ChartedMetric(coords, mirror_components(entries), domain)
 
 
@@ -463,12 +462,10 @@ def components_in_adapted_frame(frame: FrameChange, v: np.ndarray) -> np.ndarray
     return np.linalg.solve(frame.T, v)
 
 
-def fiber_lattice(
-    g: ChartedMetric, count: int, seed: int, fiber_interval=(-1.0, 1.0)
-) -> list[FiberPoint]:
+def fiber_lattice(g: ChartedMetric, count: int, seed: int) -> list[FiberPoint]:
     """Deterministic fiber points: lattice over base box x fiber box."""
     m = g.dim
-    pts = lattice_points(_bundle_box(g.domain, m, fiber_interval), count, seed)
+    pts = lattice_points(_bundle_box(g.domain, m), count, seed)
     return [FiberPoint(p[:m], p[m:]) for p in pts]
 
 
@@ -479,7 +476,6 @@ def check_lift_conditions(
     samples: int = 64,
     tol: float = 1e-9,
     seed: int = 42,
-    fiber_interval=(-1.0, 1.0),
 ):
     """Sampled verdict on the lifted-harmonicity trace conditions.
 
@@ -502,5 +498,5 @@ def check_lift_conditions(
         zero = np.zeros_like(tau)
         return np.concatenate((zero, 2.0 * tau) if complete else (tau, zero), axis=-1)
 
-    domain = _bundle_box(shared_domain(g, ghat), m, fiber_interval)
+    domain = _bundle_box(shared_domain(g, ghat), m)
     return _sampled_report(g, ghat, domain, residual, samples, tol, seed)

@@ -13,6 +13,17 @@ curvature tensor as ``riem[..., k, i, j, h]`` with
     R(e_i, e_j) e_h = R^k_{ijh} e_k ,
 
 antisymmetric in (i, j) bit-for-bit.
+
+Every inverse and every degeneracy screen comes from one factorization
+per metric and batch of points, ``_solve``.  A batch of
+``ELIMINATION_MIN_POINTS`` points or more runs one Gauss-Jordan
+elimination with partial pivoting, vectorised along the sample axis of
+points-last arrays; it gives the determinant (the product of the pivots)
+and the inverse or solve together.  A smaller batch calls LAPACK per
+matrix (``np.linalg.det``, then ``np.linalg.solve``): at those sizes the
+numpy calls of each elimination step cost more than factoring twice.  A
+point is degenerate where |det| is not above 1e-12, NaN included: the
+sampler skips it, and every other caller raises :class:`MetricDegenerate`.
 """
 
 from __future__ import annotations
@@ -42,9 +53,13 @@ __all__ = [
 
 DEGENERACY_EPS = 1e-12
 
+# Batches of at least this many points are factored by the vectorised
+# elimination, smaller ones by LAPACK (see ``_solve``).
+ELIMINATION_MIN_POINTS = 256
+
 
 class MetricDegenerate(Exception):
-    """|det g| fell at or below the degeneracy threshold at a point."""
+    """|det g| was not above the degeneracy threshold (or NaN) at a point."""
 
     def __init__(self, point, det: float):
         self.point = np.asarray(point, dtype=float)
@@ -233,28 +248,87 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     return points_first(G), points_first(dG), points_first(d2G)
 
 
-def _check_nondegenerate(G: np.ndarray, x) -> None:
+def _eliminate(A: np.ndarray, B: np.ndarray):
+    """``(det, X)``: det A and the solution of A X = B, by one Gauss-Jordan
+    elimination with partial pivoting, vectorised over the trailing sample
+    axis: ``A`` is ``(m, m, N)``, ``B`` is ``(m, r, N)`` and ``X`` is
+    ``(m, r, N)``.  Pivot rows are not rescaled during the sweep: the
+    pivots stay on the diagonal, so det is their product (with the sign of
+    the row swaps) and X is the right-hand side over them.  At a sample
+    where A is singular a pivot is zero, so det is 0 and X is not finite
+    there, without a warning; the caller screens on det."""
+    m, n = A.shape[0], A.shape[-1]
+    M = np.concatenate((A, B), axis=1)
+    # a rank per row, highest first: of equally large pivot candidates the
+    # first wins, as with argmax, which loops per sample along axis 0
+    rank, points = np.arange(m - 1, -1, -1)[:, None], np.arange(n)
+    odd = np.zeros(n, dtype=bool)  # rows swapped an odd number of times
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            if k < m - 1:
+                cand = np.abs(M[k:, k])
+                p = (m - 1 - k) - ((cand == cand.max(axis=0)) * rank[k:]).max(axis=0)
+                if p.any():
+                    rows = M[k:, k:]
+                    top = rows[p, :, points]
+                    rows[p, :, points] = rows[0].T
+                    rows[0] = top.T
+                    odd ^= p > 0
+            f = M[:, k] / M[k, k]
+            f[k] = 0.0
+            if f.any():  # else column k is clear already, as in diagonal blocks
+                M[:, k + 1 :] -= f[:, None] * M[k, k + 1 :]
+        pivots = np.diagonal(M).T
+        det = pivots.prod(axis=0)
+        # a zero pivot stays on the diagonal, but the NaN it spreads
+        # through the later pivots would hide it in their product
+        det[(pivots == 0.0).any(axis=0)] = 0.0
+        np.negative(det, out=det, where=odd)
+        return det, M[:, m:] / pivots[:, None]
+
+
+def _solve(A: np.ndarray, B: np.ndarray):
+    """``(det, X)``: det A and the solution of A X = B for a batch of
+    points, ``A`` ``(N, m, m)`` and ``B`` ``(N, m, r)``, by
+    :func:`_eliminate` or LAPACK as the module docstring says.  Either way
+    ``X`` is an ``(N, m, r)`` view of a points-last array.  Where A is
+    singular X is meaningless, without an error or a warning; the caller
+    screens on det."""
+    if A.shape[0] >= ELIMINATION_MIN_POINTS:
+        det, X = _eliminate(A.transpose(1, 2, 0), B.transpose(1, 2, 0))
+        return det, X.transpose(2, 0, 1)
+    det = np.linalg.det(A)
+    singular = ~(np.abs(det) > 0.0)  # a zero pivot, or NaN entries
+    if singular.any():
+        A = np.where(singular[:, None, None], np.eye(A.shape[-1]), A)
+    X = np.linalg.solve(A, B)
+    return det, X.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+
+
+def _screen(det: np.ndarray, x) -> None:
     """Raise :class:`MetricDegenerate` at the first point of ``x`` where
-    |det G| <= 1e-12."""
-    det = np.linalg.det(G)
-    bad = np.abs(det) <= DEGENERACY_EPS
-    if np.any(bad):
+    |det| is not above 1e-12 (NaN included): where the sampler
+    (``harmonic._collect_samples``) rejects a candidate."""
+    bad = np.flatnonzero(~(np.abs(det) > DEGENERACY_EPS))
+    if bad.size:
         pt = np.asarray(x, dtype=float)
-        if pt.ndim > 1:
-            idx = int(np.argmax(np.asarray(bad).ravel()))
-            flat_pts = pt.reshape(-1, pt.shape[-1])
-            raise MetricDegenerate(flat_pts[idx], np.asarray(det).ravel()[idx])
-        raise MetricDegenerate(pt, float(det))
+        raise MetricDegenerate(pt.reshape(-1, pt.shape[-1])[bad[0]], det.ravel()[bad[0]])
 
 
 def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
-    _check_nondegenerate(G, x)
-    return np.linalg.inv(G)
+    """Inverse of the matrices ``G`` at the points ``x`` by one
+    :func:`_solve`, screened on its det (:func:`_screen`)."""
+    m = G.shape[-1]
+    flat = G.reshape(-1, m, m)
+    with np.errstate(all="ignore"):
+        det, ginv = _solve(flat, np.broadcast_to(np.eye(m), flat.shape))
+    _screen(det, x)
+    return ginv.reshape(G.shape)
 
 
 def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
-    """Matrix inverse of the components at ``x`` (LU with partial
-    pivoting); raises :class:`MetricDegenerate` when |det| <= 1e-12."""
+    """Matrix inverse of the components at ``x`` (partial pivoting);
+    raises :class:`MetricDegenerate` where |det| is not above 1e-12."""
     return _checked_inverse(metric_at(g, x), x)
 
 

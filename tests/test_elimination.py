@@ -1,12 +1,13 @@
 """One factorization per metric and candidate batch.
 
-``harmonic._solve`` gives det A and the solution of A X = B: for batches
+``metric._solve`` gives det A and the solution of A X = B: for batches
 of ``ELIMINATION_MIN_POINTS`` points or more from one Gauss-Jordan
 elimination with partial pivoting over points-last arrays
-(``harmonic._eliminate``), for smaller ones from LAPACK.  The degeneracy
-screen reads that det, and the identity tension that X.  These
-tests hold both sides of the size rule to ``np.linalg``, on the same
-matrices, and check that the two sides give the same reports.
+(``metric._eliminate``), for smaller ones from LAPACK.  The degeneracy
+screen reads that det, and the inverse and the identity tension that X.
+These tests hold both sides of the size rule to ``np.linalg``, on the
+same matrices, check that the two sides give the same reports, and that
+the screen catches singular and NaN matrices on both.
 """
 
 import warnings
@@ -14,10 +15,17 @@ import warnings
 import numpy as np
 import pytest
 
-from metriclift import EgorovSpec, egorov_metric, harmonic
-from metriclift.harmonic import ELIMINATION_MIN_POINTS, _solve, check_harmonic
-from metriclift.lifts import LiftKind, check_lift_conditions
-from metriclift.metric import ChartedMetric, metric_at
+from metriclift import EgorovSpec, egorov_metric, metric
+from metriclift.harmonic import check_harmonic
+from metriclift.lifts import FiberPoint, LiftKind, check_lift_conditions, lift_blocks_at
+from metriclift.metric import (
+    ELIMINATION_MIN_POINTS,
+    ChartedMetric,
+    MetricDegenerate,
+    _checked_inverse,
+    _solve,
+    metric_at,
+)
 from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, domain_points
 
 # a LAPACK-sized batch, and the same matrices tiled to an eliminated one
@@ -158,7 +166,7 @@ def _pairs():
 def test_both_sides_give_the_same_report(monkeypatch, name, g, ghat):
     reports = {}
     for side, threshold in (("lapack", 10**9), ("elimination", 1)):
-        monkeypatch.setattr(harmonic, "ELIMINATION_MIN_POINTS", threshold)
+        monkeypatch.setattr(metric, "ELIMINATION_MIN_POINTS", threshold)
         reports[side] = check_harmonic(g, ghat, samples=SMALL, seed=11).as_dict()
         assert check_harmonic(g, g, samples=SMALL, seed=11).max_abs_residual == 0.0
     a, b = reports["lapack"], reports["elimination"]
@@ -171,3 +179,46 @@ def test_both_sides_give_the_same_report(monkeypatch, name, g, ghat):
         assert np.abs(diff).max() <= 1e-12 * scale
     else:
         assert b["max_abs_residual"] <= 1e-12
+
+
+BAD_MATRICES = {
+    "singular": [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan": np.full((3, 3), np.nan),
+}
+
+
+@pytest.mark.parametrize("count", [1, SMALL, ELIMINATION_MIN_POINTS])
+@pytest.mark.parametrize("bad", list(BAD_MATRICES))
+def test_screen_names_the_first_degenerate_point(bad, count):
+    g = FIXTURES["dense-m3"]
+    x = domain_points(g, count)
+    G = metric_at(g, x)
+    first = count // 3
+    G[first] = G[-1] = BAD_MATRICES[bad]
+    if count == 1:
+        G, x = G[0], x[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricDegenerate) as exc:
+            _checked_inverse(G, x)
+    assert np.array_equal(exc.value.point, x.reshape(-1, 3)[first])
+    assert not abs(exc.value.det) > 1e-12
+    assert (exc.value.det == 0.0) == (bad == "singular")
+
+
+@pytest.mark.parametrize("kind", list(LiftKind))
+def test_lift_blocks_factor_the_metric_once(monkeypatch, kind):
+    calls = []
+
+    def spy(A, B):
+        calls.append(A.shape)
+        return _solve(A, B)
+
+    def inv(*_):
+        raise AssertionError("np.linalg.inv called")
+
+    g = FIXTURES["dense-m3"]
+    monkeypatch.setattr(metric, "_solve", spy)
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    lift_blocks_at(g, kind, FiberPoint([0.1, -0.2, 0.3], [0.5, 0.4, -0.6]))
+    assert calls == [(1, 3, 3)]

@@ -69,6 +69,17 @@ class TestEgorov:
         spec = EgorovSpec(3, "x3^2+2")
         assert egorov_residual_closed_form(spec, "x3^2+2", [0.0, 0.0, 0.3]) == 0.0
 
+    def test_closed_form_constant_profile(self):
+        # f = 2 against fhat = x3 + 3: (m-2)(f' - fhat')/(2f) = -1/4
+        spec = EgorovSpec(3, "2")
+        x = [0.1, -0.2, 0.3]
+        want = egorov_residual_closed_form(spec, "x3+3", x)
+        assert want == -0.25
+        tau = tension_identity_at(egorov_metric(spec), egorov_metric(EgorovSpec(3, "x3+3")), x)
+        assert tau[1] == want
+        pts = domain_points(egorov_metric(spec), 5)
+        assert np.array_equal(egorov_residual_closed_form(spec, "x3+3", pts), np.full(5, -0.25))
+
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_tension_concentrates_in_one_component(self, m):
         # full tension vector: only component m-1 (1-based) may be nonzero
