@@ -207,3 +207,96 @@ def test_definitions_parse_to_the_expanded_nodes(case, tmp_path, capsys):
         assert metric_at(a, x).tobytes() == metric_at(b, x).tobytes()
         for ja, jb in zip(metric_jets_at(a, x), metric_jets_at(b, x)):
             assert ja.tobytes() == jb.tobytes()
+
+
+# sha256 of the expanded text (`component_sources()`, one tree per entry) of
+# the Sasaki lifts of every gallery base chart, g and g-hat, and of dense
+# m=2, 3: the trees `lift_to_chart` assembles, whichever nodes they share.
+SASAKI_SOURCES_SHA256 = {
+    "egorov-m3-exp/g/sasaki-tm": "37c2d0189a173d9cb313de0e29c2eb63d6e4f87313eccc5731dfd0af27bce99b",
+    "egorov-m3-exp/g/sasaki-ctm": "0b0b0f9a274855373661004f9d9fc0f33059eedfd3817ead4568a947a29fa1bb",
+    "egorov-m3-exp/ghat/sasaki-tm": "5010b497600337e71f7982f7624456850456239f209882e00a39dd72f749ef4d",
+    "egorov-m3-exp/ghat/sasaki-ctm": "ce6c809b08b33d35a4a59c8f9ff2683583f994b0ca0f21f6fcaf599d43c84c80",
+    "egorov-m3-quad/g/sasaki-tm": "d644e42f19983684b609585243002cbb4462d9e29b1c187a04175d407132d0c1",
+    "egorov-m3-quad/g/sasaki-ctm": "f7454e8512714a8a0c3ac18df22222433392784be5d757a31cc8fedf0710ae84",
+    "egorov-m3-quad/ghat/sasaki-tm": "f876a7dd0cfbede01ce48f99a6ce3b1d2dbc7b641c1dbc49b324c100de127562",
+    "egorov-m3-quad/ghat/sasaki-ctm": "47d539e069d5125bb9695c9401c9f6220c089710130da2a3327b199e9b7883aa",
+    "egorov-m3-cosh/g/sasaki-tm": "0ca11862ecb1a7957e0ee57e695fbf8b6c70c484ae52db7b68ef174022de7276",
+    "egorov-m3-cosh/g/sasaki-ctm": "6239380820a616b0483525918a6847faab72f6695f3758bcf51887a14acbbad7",
+    "egorov-m3-cosh/ghat/sasaki-tm": "2e735ade26899a6273ac83882fd985d488a3d8ccaf16c0291adb0e1c37860399",
+    "egorov-m3-cosh/ghat/sasaki-ctm": "1c90cd5fbbcc6f39bf9f27044a6c442c3b83dd6d8fbc38e62eb1d1999ca3d1b8",
+    "egorov-m4-exp/g/sasaki-tm": "832bda243c4b0cff64b32d85fa70fdf9e4cd09a9023cebc357737ef2c2ac68c1",
+    "egorov-m4-exp/g/sasaki-ctm": "88f0b1a8d29b66c2a944eb607066f0042193682856e6f3bacac36e3907fd68ac",
+    "egorov-m4-exp/ghat/sasaki-tm": "3a6f25381312933600e062f90a46dfc59e5dfb383135c58a89b24a8436261cc8",
+    "egorov-m4-exp/ghat/sasaki-ctm": "a9289bc348548cd1a6b8155112ea7dcba21fc62027a350a11a7f519e95263607",
+    "egorov-m4-cosh/g/sasaki-tm": "3d6098d31810c68d705e85816b1ae4428419d5b972c0293718c94c1c5df62b2e",
+    "egorov-m4-cosh/g/sasaki-ctm": "719e33bc09da1af634ebef5d54860051f728fa9e37f53dbcd5aa071a5c13fbfe",
+    "egorov-m4-cosh/ghat/sasaki-tm": "1ff00b9f7c71723a7a39be1ad16033f3d7b7a7f9e5b5dc6b4611411acb4c67c1",
+    "egorov-m4-cosh/ghat/sasaki-ctm": "e42501dfd15c050c33bf366de128e5c5b009a2583bf674fe7aa5085c6f298d52",
+    "egorov-m5-quad/g/sasaki-tm": "582bcf325c977539497fd6babf86d4c3c2d00d8ba47644e1b360a31d52b00d4c",
+    "egorov-m5-quad/g/sasaki-ctm": "501396f6c056e6aa9eb1bb7b8ae828ce3c41c072ce6697dbd6ada6e6c1dcfa8b",
+    "egorov-m5-quad/ghat/sasaki-tm": "aea923e00efa0eafbc8541eb46bcfe32ddb536d77b8beb4beaab506e33ba2ea2",
+    "egorov-m5-quad/ghat/sasaki-ctm": "ff3926cf615581b1c52d70294fc9b56f5a17d9998b30e65305678920e1b59a05",
+    "godel-cosh/g/sasaki-tm": "e3a9df5b63aa66fa416c5c23379152ca13f7979db1a1b696c4a1ed731ff9773f",
+    "godel-cosh/g/sasaki-ctm": "ac999b378b74a1ebbed7282a99fa303a069bae2b888aef11eb37acdb23498ed1",
+    "godel-cosh/ghat/sasaki-tm": "0f480e789e561654004932fb7f95eddac0e83cff6c1f961b889aad99aa9f1724",
+    "godel-cosh/ghat/sasaki-ctm": "d0a1b2a4ed531d2bfa94abd7128e8b9234faa36480315ffeabd0eb99f917f7b5",
+    "godel-exp/g/sasaki-tm": "7f1ac5c2059d816a17d515c543e9cbd356657dcc780bff44394330efdd2dc785",
+    "godel-exp/g/sasaki-ctm": "624940dc47437f6d19a26d40498e6cb7cb2fc061caa078a80198bd9ae1b9d728",
+    "godel-exp/ghat/sasaki-tm": "ea0cf43121775a0cc2f58f5bc18a2a15a08d2de4b5afb458f9105b851da56ac4",
+    "godel-exp/ghat/sasaki-ctm": "9339ff0b5d4e9ed9183c1440db798e71c3ad3f82d58e053665b579840d0e72d4",
+    "godel-shifted/g/sasaki-tm": "0110f300818d8e98f1d9e1ec84557be20e4234a29b1a8dad06d7c2ac72c4607e",
+    "godel-shifted/g/sasaki-ctm": "18c99e643ddeb08def691c1c087519aafffd149bf60703954e6a7813208aed67",
+    "godel-shifted/ghat/sasaki-tm": "acf89632864d99a23dfad5a791bbf03913d02af1b2a971e7c204b627e8eaedac",
+    "godel-shifted/ghat/sasaki-ctm": "cc63de279f3f1fe0cd57da0e3b601b14ff562d12b8d662f042656b45fa4a22e7",
+    "walker-const/g/sasaki-tm": "638fa1ecad463c22468ad71f01709554b8e6bddcbfc22d481c6f3e54ed21ee3a",
+    "walker-const/g/sasaki-ctm": "2260d6ce64e0d0ed30e6523ee5d5b46cd77807c7733e07b15ae55222f9bc2b7a",
+    "walker-const/ghat/sasaki-tm": "fc66c7551b97d7f21a0413426fe676f5da84527f79960e8a5f84a63f0c09d415",
+    "walker-const/ghat/sasaki-ctm": "453547f127efa645425ea53c05b13a4cd405d2e0d654c529e291696a0aa15da3",
+    "walker-linear/g/sasaki-tm": "638fa1ecad463c22468ad71f01709554b8e6bddcbfc22d481c6f3e54ed21ee3a",
+    "walker-linear/g/sasaki-ctm": "2260d6ce64e0d0ed30e6523ee5d5b46cd77807c7733e07b15ae55222f9bc2b7a",
+    "walker-linear/ghat/sasaki-tm": "b632c7a3e74544870b87c1a893053f84b5ff78f67e891d5ee01a3aa0017f1568",
+    "walker-linear/ghat/sasaki-ctm": "4c0e20ad2dc2dbcc02ef9e72bcab239b32505ad4bafc9c7de9fdc6b3372fb017",
+    "walker-mixed/g/sasaki-tm": "7fad5f30ade21d4a3ee9b58bd4991bb8f620490bb79dd9e26d28b642b4efaefd",
+    "walker-mixed/g/sasaki-ctm": "b005b08eb7b5486ff04812742e739db8256477fe57aed11e3eb7950cabde10a4",
+    "walker-mixed/ghat/sasaki-tm": "cd5bd8e0783cfd16a2baa3f85f5417b74737e1164c84630f9c1a5aac8b2dadac",
+    "walker-mixed/ghat/sasaki-ctm": "a9624deec1fb93f5959504784f93f2498b43c801f49d0ae01cf298a7d36419b7",
+    "egorov-m3-2exp/g/sasaki-tm": "37c2d0189a173d9cb313de0e29c2eb63d6e4f87313eccc5731dfd0af27bce99b",
+    "egorov-m3-2exp/g/sasaki-ctm": "0b0b0f9a274855373661004f9d9fc0f33059eedfd3817ead4568a947a29fa1bb",
+    "egorov-m3-2exp/ghat/sasaki-tm": "097e204719d4be3a535f85786cc72a5dfc71503997779fcaf2afa1783c16d51c",
+    "egorov-m3-2exp/ghat/sasaki-ctm": "96c9670a061ef3b029246a86296fc6b64215d377db077c772f79c71488fbdf44",
+    "egorov-m4-2exp/g/sasaki-tm": "832bda243c4b0cff64b32d85fa70fdf9e4cd09a9023cebc357737ef2c2ac68c1",
+    "egorov-m4-2exp/g/sasaki-ctm": "88f0b1a8d29b66c2a944eb607066f0042193682856e6f3bacac36e3907fd68ac",
+    "egorov-m4-2exp/ghat/sasaki-tm": "c92d72cc29a8c4f5949e4ee1ad78bfbf3f1667b5d253d00a148afe379cf7c93f",
+    "egorov-m4-2exp/ghat/sasaki-ctm": "4f095ce2fe659ec79be2f103aba917778bdd54a967d6fc89583f4adf50e4db95",
+    "godel-2h/g/sasaki-tm": "e3a9df5b63aa66fa416c5c23379152ca13f7979db1a1b696c4a1ed731ff9773f",
+    "godel-2h/g/sasaki-ctm": "ac999b378b74a1ebbed7282a99fa303a069bae2b888aef11eb37acdb23498ed1",
+    "godel-2h/ghat/sasaki-tm": "379ba480f27bcfdf1cb57379157fbe16b9ff17119ff446cd26006b3e7d85c833",
+    "godel-2h/ghat/sasaki-ctm": "ee9bbed6c993f9206c133800889afb26512e0d74d7f20253ca9422e17f5b4145",
+    "walker-x2x3/g/sasaki-tm": "638fa1ecad463c22468ad71f01709554b8e6bddcbfc22d481c6f3e54ed21ee3a",
+    "walker-x2x3/g/sasaki-ctm": "2260d6ce64e0d0ed30e6523ee5d5b46cd77807c7733e07b15ae55222f9bc2b7a",
+    "walker-x2x3/ghat/sasaki-tm": "0e0dbde5badea45c27a671cf70175ff2936d02aee5ac4f1331bc933d667670e5",
+    "walker-x2x3/ghat/sasaki-ctm": "eca91178ac8bcb7839ecc0924f4f1bf81f6a5413d4ec7247cc3339c334952b73",
+    "dense-m2/sasaki-tm": "f4e37105ef586d9c3eae065f504a0e0357ccaedc19e6162c6aa07aced3e6b7b7",
+    "dense-m2/sasaki-ctm": "d32f1bee650fa900145585c77bdf7b8f2963ef0151687ccf0350cb3eca806c0e",
+    "dense-m3/sasaki-tm": "d2373654eeffbd5e74d33fb75724168f0eb40b9b2ad32eae8fcfac4e801be525",
+    "dense-m3/sasaki-ctm": "80f8b446644788fb91abc4e9d32f7af2c0f5b3d5e29941b8ab9c3194f9655263",
+}
+
+SASAKI_BASES = {
+    **{
+        f"{name}/{which}": base
+        for name, g, ghat in HARMONIC_PAIRS + NON_HARMONIC_PAIRS
+        for which, base in (("g", g), ("ghat", ghat))
+    },
+    "dense-m2": DENSE2,
+    "dense-m3": DENSE3,
+}
+
+
+@pytest.mark.parametrize("kind", [LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM], ids=lambda k: k.value)
+@pytest.mark.parametrize("label", list(SASAKI_BASES))
+def test_sasaki_expanded_text_unchanged(label, kind):
+    text = json.dumps(lift_to_chart(SASAKI_BASES[label], kind).component_sources())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SASAKI_SOURCES_SHA256[f"{label}/{kind.value}"]
