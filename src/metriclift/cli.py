@@ -6,7 +6,7 @@ single machine-readable JSON document to stdout.  Reports serialize with
 sorted keys so identical inputs produce byte-identical output.
 
     metriclift check   --manifest m.json [--samples N --tol X --seed N --lift KIND]
-    metriclift lift    --manifest m.json [--lift KIND]
+    metriclift lift    --manifest m.json [--samples N --tol X --seed N --lift KIND]
     metriclift tensors --manifest m.json --at "v1,v2,..."
 
 Exit codes for ``check``: 0 harmonic-on-samples, 1 not-harmonic, 2 input
@@ -341,11 +341,12 @@ def _lifted_manifest(manifest: dict, g, ghat, kind: LiftKind) -> dict:
 
 
 def cmd_lift(manifest: dict, args) -> tuple[int, str]:
+    # the check flags override the manifest's fields, as in ``check``
+    flags = {key: getattr(args, key) for key in ("samples", "tol", "seed")}
+    manifest = {**manifest, **{k: v for k, v in flags.items() if v is not None}}
     kind = _lift_kind(str(_merged(manifest, args, "lift")))
     if kind is None:
-        echo = dict(manifest)
-        echo["lift"] = "none"
-        return 0, _dump(echo)
+        return 0, _dump({**manifest, "lift": "none"})
     g, ghat = build_metrics(manifest, need_hat=False)
     return 0, _dump(_lifted_manifest(manifest, g, ghat, kind))
 

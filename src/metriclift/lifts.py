@@ -14,9 +14,10 @@ supported, each in two presentations:
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
   component trees and their derivatives, with no simplification beyond
-  0/1 folding; the Sasaki kinds also use the Christoffel trees built
-  from the cofactor inverse.  The result feeds the wholly generic
-  pipeline and serves as an independent oracle for the block formulas.
+  0/1 folding; the Sasaki kinds also use Christoffel trees built from the
+  cofactor inverse, a memoized Laplace expansion that builds each minor
+  once.  The result feeds the wholly generic pipeline and serves as an
+  independent oracle for the block formulas.
 
 Conventions.  On TM the fiber coordinates are vector components u^i and
 the adapted frame is ``delta_i = d_i - u^h Gamma^k_{hi} d/du^k`` (sum
@@ -258,39 +259,35 @@ def lifted_tension_at(
 # symbolic assembly of induced-coordinate lifted charts
 
 
-def _symbolic_det(rows) -> ExprAst:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ex.const(0.0)
-    for j in range(n):
-        e = rows[0][j]
-        if isinstance(e, ex.Num) and e.value == 0.0:
-            continue
-        minor = [[r[jj] for jj in range(n) if jj != j] for r in rows[1:]]
-        term = ex.mul(e, _symbolic_det(minor))
-        acc = ex.add(acc, term) if j % 2 == 0 else ex.sub(acc, term)
-    return acc
-
-
 def _symbolic_inverse(components):
     """Adjugate-over-determinant inverse of a symmetric AST matrix; the
-    (k, l) and (l, k) entries share one tree."""
+    (k, l) and (l, k) entries share one tree.  Each minor is expanded along
+    its first row once, and shared by the determinant and every cofactor
+    that reaches it: at most about m^2 2^m minors, not m! expansions."""
     m = len(components)
-    rows = [list(r) for r in components]
-    det = _symbolic_det(rows)
+    memo: dict = {}
+
+    def det(rows: tuple, cols: tuple) -> ExprAst:
+        # the minor on these row and column indices; the empty one is 1
+        if (rows, cols) not in memo:
+            acc = ex.const(0.0 if rows else 1.0)
+            for n, j in enumerate(cols):
+                e = components[rows[0]][j]
+                if isinstance(e, ex.Num) and e.value == 0.0:
+                    continue
+                term = ex.mul(e, det(rows[1:], cols[:n] + cols[n + 1 :]))
+                acc = ex.add(acc, term) if n % 2 == 0 else ex.sub(acc, term)
+            memo[rows, cols] = acc
+        return memo[rows, cols]
+
+    full = tuple(range(m))
     inv = [[None] * m for _ in range(m)]
     for k in range(m):
         for l in range(k, m):
-            minor = [
-                [rows[i][j] for j in range(m) if j != k]
-                for i in range(m)
-                if i != l
-            ]
-            cof = _symbolic_det(minor) if m > 1 else ex.const(1.0)
+            cof = det(full[:l] + full[l + 1 :], full[:k] + full[k + 1 :])
             if (k + l) % 2 == 1:
                 cof = ex.neg(cof)
-            inv[k][l] = inv[l][k] = ex.div(cof, det)
+            inv[k][l] = inv[l][k] = ex.div(cof, det(full, full))
     return inv
 
 

@@ -227,18 +227,20 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     G = np.empty((m, m, n))
     dG = np.zeros((m, m, m, n))
     d2G = np.zeros((m, m, m, m, n)) if order >= 2 else None
-    for i in range(m):
-        for j in range(i, m):
-            out = ex.evaluate(g.components[i][j], env, memo)
-            if not isinstance(out, Jet2):  # a constant entry
-                G[i, j] = G[j, i] = out
-                continue
-            G[i, j] = G[j, i] = out.value
-            s = np.array(out.support)
-            dG[i, j, s] = dG[j, i, s] = out.grad.T
-            if order >= 2:
-                hess = out.hess.transpose(1, 2, 0)
-                d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = hess
+    # an overflowing entry is reported as non-finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m):
+            for j in range(i, m):
+                out = ex.evaluate(g.components[i][j], env, memo)
+                if not isinstance(out, Jet2):  # a constant entry
+                    G[i, j] = G[j, i] = out
+                    continue
+                G[i, j] = G[j, i] = out.value
+                s = np.array(out.support)
+                dG[i, j, s] = dG[j, i, s] = out.grad.T
+                if order >= 2:
+                    hess = out.hess.transpose(1, 2, 0)
+                    d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = hess
 
     def points_first(a):
         if a is None:

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,18 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_child(*argv):
+    """``python -m metriclift.cli`` in a child process, which pytest's
+    warning filter does not reach."""
+    # the child imports the package the tests run against, also when
+    # only pytest's own ``pythonpath`` setting put it on sys.path
+    src = str(Path(metriclift.__file__).resolve().parents[1])
+    paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    cmd = [sys.executable, "-m", "metriclift.cli", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 def write_manifest(tmp_path, name, doc):
@@ -167,7 +178,6 @@ class TestCheck:
         assert doc["lift"] == kind
         assert len(doc["per_component_max"]) == 6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("lift", ["none", "sasaki-tm"])
     @pytest.mark.parametrize(
         "g11, h11, domain",
@@ -194,7 +204,19 @@ class TestCheck:
         assert code == 2
         assert "error" in strict_json(out)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lift", ["none", "sasaki-tm"])
+    def test_overflow_in_a_child_process_prints_no_warning(self, tmp_path, lift):
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["exp(1000*x1)", "0"], ["0", "1"]],
+            "hat_metric": [["exp(900*x1)", "0"], ["0", "1"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        child = run_child("check", "--manifest", path, "--lift", lift)
+        assert child.returncode == 2
+        assert "error" in strict_json(child.stdout)
+        assert child.stderr == ""
+
     @pytest.mark.parametrize(
         "lift, component",
         [
@@ -328,6 +350,19 @@ class TestLift:
         echoed = json.loads(out)
         assert echoed == {**doc, "lift": "none"}
 
+    @pytest.mark.parametrize("lift", ["none", "complete-tm"])
+    def test_lift_carries_check_flags_into_the_manifest(self, tmp_path, capsys, lift):
+        path = write_manifest(tmp_path, "m.json", egorov_manifest(lift=lift))
+        flags = ["--samples", "8", "--seed", "7", "--tol", "1e-3"]
+        code, out = run_cli(capsys, "lift", "--manifest", path, *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["samples"], doc["seed"], doc["tol"]) == (8, 7, 1e-3)
+        lifted = write_manifest(tmp_path, "lifted.json", doc)
+        _, report = run_cli(capsys, "check", "--manifest", lifted)
+        report = json.loads(report)
+        assert (report["samples_used"], report["seed"], report["tolerance"]) == (8, 7, 1e-3)
+
     def test_complete_lift_emits_expected_entries(self, tmp_path, capsys):
         path = write_manifest(tmp_path, "m.json", egorov_manifest(lift="complete-tm"))
         code, out = run_cli(capsys, "lift", "--manifest", path)
@@ -458,9 +493,7 @@ class TestDefinitions:
 
     def test_error_text_of_a_long_chain_is_capped(self, tmp_path, capsys):
         path = write_manifest(tmp_path, "m.json", chain_manifest(60, "1 + log(0 - d60)"))
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out = run_cli(capsys, "check", "--manifest", path)
+        code, out = run_cli(capsys, "check", "--manifest", path)
         assert code == 2
         err = strict_json(out)["error"]
         assert err["kind"] == "EvalDomainError"
@@ -694,14 +727,8 @@ class TestDeterminism:
 
     def test_console_entry_point_byte_identical(self, tmp_path):
         path = write_manifest(tmp_path, "m.json", egorov_manifest())
-        cmd = [sys.executable, "-m", "metriclift.cli", "check", "--manifest", path]
-        # the child imports the package the tests run against, also when
-        # only pytest's own ``pythonpath`` setting put it on sys.path
-        src = str(Path(metriclift.__file__).resolve().parents[1])
-        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        a = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        b = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        a = run_child("check", "--manifest", path)
+        b = run_child("check", "--manifest", path)
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
 
@@ -800,9 +827,7 @@ def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command, gl
         # "--at -0.5,..." reads as an option: a usage error, in JSON too
         argv += [f"--at={at}"] if glued else ["--at", at]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), np.errstate(all="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     strict_json(out.getvalue())

@@ -74,6 +74,14 @@ def test_reparse_keeps_sharing_and_values(m, kind, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("kind", [LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM], ids=lambda k: k.value)
+def test_sasaki_minors_are_built_once(kind):
+    # a cofactor expansion that copied every minor had about 76,000 nodes;
+    # the count is named so that a failure does not print the trees
+    count = unique_nodes(upper_triangle(lift_to_chart(dense_metric(7), kind)))
+    assert count <= 15_000
+
+
 def _base_manifest(g, ghat) -> dict:
     return {
         "coordinates": list(g.coords),
@@ -115,24 +123,24 @@ LIFT_STDOUT_SHA256 = {
     "egorov-m3-cosh/sasaki-tm": "b832cfe1dbb03228d3f8b00ac58374839fbf7106dc76648e0d5b20727c450fc1",
     "egorov-m3-cosh/complete-tm": "08f914f0cf4bc48913e51a67ec072e87d21b4c2c02c4f3e377948a32bfa48de8",
     "egorov-m3-cosh/sasaki-ctm": "03183cc76b0d2f25e4ce1665d51cf0a6fbef605e875c414ed7ba9eac6dbfa33a",
-    "egorov-m4-exp/sasaki-tm": "6b0fc644eadb6372d904278a68da6f51a10429f0d19d85fe64a81ddb8c234fe8",
+    "egorov-m4-exp/sasaki-tm": "2db0297305d38a6b7b64d926caeca899c349c79aee1ea0247af3e87537589e2d",
     "egorov-m4-exp/complete-tm": "baafda92c1daf23293fdded3280fdf1045fa395b11f2e4b7f3978bfd2f31e7b0",
-    "egorov-m4-exp/sasaki-ctm": "dd74588364ad4cecbb4b54d9909fa206307f3d15980694abfed5249d12d94c9a",
-    "egorov-m4-cosh/sasaki-tm": "3baa3e9a485aacfe42991f2a52ee5bc05f377598700c5e8690fe9b83a7b2865b",
+    "egorov-m4-exp/sasaki-ctm": "93e14854f09638d82797fbf23f74955d4bc3e35c3c9c0c535f0be473bc4aa32b",
+    "egorov-m4-cosh/sasaki-tm": "fb596fed8f5106c81f416f3326af083fce7f6691168cd4d3ae01f629ebfa08b8",
     "egorov-m4-cosh/complete-tm": "4bceda4eb0d14f3a03822a0670d4d8f6f93d5ea2e672fb2788b242649ac52b9d",
-    "egorov-m4-cosh/sasaki-ctm": "70496b47c4147c1a8220a8b6b686e93c0916d844e95eededfa201e2c7795df12",
-    "egorov-m5-quad/sasaki-tm": "a755be0486c30503ce7393b768be645fc0837727c4e30fccc42ade0fad1c49f7",
+    "egorov-m4-cosh/sasaki-ctm": "48c6c4ca5288eab1920311d10babf3163d1d980a3f3e9335836d73dfada852d6",
+    "egorov-m5-quad/sasaki-tm": "a50bea920a4b688e2ec0f393fecc5e296eb463407ded06f4cd637ee569d985b3",
     "egorov-m5-quad/complete-tm": "07749dcf01a16ec7bfff79c3db88236611347b3cf8310e442d330c47ef084612",
-    "egorov-m5-quad/sasaki-ctm": "057e64617075b418e6515dc199e80af630d73f4628d4b69e65a1bf3490812a90",
-    "godel-cosh/sasaki-tm": "2431cdfd82f465c49f1c76d20e309b30509ade3d493c5b3ee533aef66eb5bf9e",
+    "egorov-m5-quad/sasaki-ctm": "6a33b1b876ccf46796410633012cd8577d91549adf2ca4325e14717bb9919a82",
+    "godel-cosh/sasaki-tm": "4c4a916ec8e911a8255604b2923648db8d2778bc5510b712ec39f12c9af88c7a",
     "godel-cosh/complete-tm": "d0dfbf2d40d7c5e94ce322cac5f6d096e38f59b62903154643f3ac9bef6f5ba9",
-    "godel-cosh/sasaki-ctm": "26d199443c538bf40f5b7267387c43408459c2a2fc583b7b08f349fd3ab88617",
-    "godel-exp/sasaki-tm": "c56648456fb8c668d1fe87d08e8e6724d638ad75c3c635bb486012acb5333e7b",
+    "godel-cosh/sasaki-ctm": "66e126c53914cb7d9b8040f83f231ed612888ddfd1c55b87a43658e9dcb18b42",
+    "godel-exp/sasaki-tm": "12403e8c639c43d72fbca08c1e9672abd7a7bb0f2be50cb6995d63f34cc3c4ce",
     "godel-exp/complete-tm": "e10afdc38a591b095934362bfd36d16273420099975a78cbe8bcee8a9c37773e",
-    "godel-exp/sasaki-ctm": "b43059ccd428fa84f4dcdfccbcf422fc93e807a6b469a0e46c754a1a433a9641",
-    "godel-shifted/sasaki-tm": "69b5a5b9d27ffadf376b9b3bcb3734fdf6f5756425a0e9ec256dc0934c7322b0",
+    "godel-exp/sasaki-ctm": "e510873d14dfcbdab9971e86210e746d4ea67c5826e538b358c2e60a85da2658",
+    "godel-shifted/sasaki-tm": "5edd5001b788c60369415e0af9a5696cc1e56d660f5bff99b77d5044cb550f18",
     "godel-shifted/complete-tm": "5056e82b277a0b9bbebfa4ecf6da6b85cd718f0f1d7efa8114a2307063d03772",
-    "godel-shifted/sasaki-ctm": "8492f927244a25b848ac5945ce4f4cce0c98dcb745907f813c29f94d1e172d33",
+    "godel-shifted/sasaki-ctm": "037657310817b3209f8aa7a5956cf8826f558cdddcd1bf16a78bba1c4353f923",
     "walker-const/sasaki-tm": "43eabd8a4adeecc3475c64524e72a09bdc3f751c5101199c2ea2e95d8ef665dc",
     "walker-const/complete-tm": "08bbb326b659a86a86f7f3ad1f8073098831fb3f3034b71d989c960363485363",
     "walker-const/sasaki-ctm": "411bccfd4b28d9b66e4636ff705734b59c8f8593ee3b24d9765c22c6bf3687b0",
@@ -145,21 +153,21 @@ LIFT_STDOUT_SHA256 = {
     "egorov-m3-2exp/sasaki-tm": "80b70c6322f71acf469754e2578d2bf9dfd78bae15b8bde5ba331f551fbe0847",
     "egorov-m3-2exp/complete-tm": "a2b1d4a1e0bdcffcaafa83da5c5f9bffde07cf138b05bed37f2001bec22e2120",
     "egorov-m3-2exp/sasaki-ctm": "9463e419e1ba0e5f587eb34e02623589d567e096bd3575bd0498c6fdca9ad47a",
-    "egorov-m4-2exp/sasaki-tm": "b28949d81bd93463cb250cb71918048e468d0bb9747c564651ab4a0602e7b80f",
+    "egorov-m4-2exp/sasaki-tm": "7c85821da2238683746ccfc83e4a1f4a9d62d574c89b53bcba714a6c9e237720",
     "egorov-m4-2exp/complete-tm": "84f653548c93caa3d1d006e2d09e279b716db6ddc8c715a73dfa362ee802f0ac",
-    "egorov-m4-2exp/sasaki-ctm": "4e23c7db57abcd29b70ee760036c9cde4486c006204cab4bebaf768101cf7db9",
-    "godel-2h/sasaki-tm": "7e36bcbeb0b3b5f59a79efa4babed67ad07b92eaa51cf5b9be4f855c18d13270",
+    "egorov-m4-2exp/sasaki-ctm": "99fea8caf4a25a7ff586fb1d2a554bb23f8ed907ba1dd842e5af7e56794689e6",
+    "godel-2h/sasaki-tm": "4c34d975308778b00f7d2c5db8b2b96e454f731a7a69eded7d28966c76ef6d7f",
     "godel-2h/complete-tm": "a7bedd5f11df70947a9206114d938ac4787452975edc4f5f1c52346da77f538b",
-    "godel-2h/sasaki-ctm": "1b7a566fbbe476c823d2f4dbc428317f8f7baf22371c4f72561d25537dc23238",
+    "godel-2h/sasaki-ctm": "8bfc8ec01013dd002898fca352559d7e08d88d230631f07b3a491dd3b52446f4",
     "walker-x2x3/sasaki-tm": "586fec8eb6ae2b413c8607cb526c4c4d7e5bf49eff2491d207e519a30714646f",
     "walker-x2x3/complete-tm": "0b45ec7ca83e291cf465627aebba273908dfdf7c219a9c26df4099d6a066704b",
     "walker-x2x3/sasaki-ctm": "15bb0cf07fda660aa3d509a2a62f2d885b62048651ef2048494b3404623deb6a",
     "dense-m2/sasaki-tm": "47ba99e0bc8be57c7a8f766e3865d02b750e9981ad8737e24a97a7096dd6b4f4",
     "dense-m2/complete-tm": "a9c4d13b3e1551553cb11463d6f3970c4b482fb581826ad7c3b0d23f56a48bef",
     "dense-m2/sasaki-ctm": "3efe54d247803908b0c15f155c3b28b4d81b6e7221674e0c9cc92cb4d30384f9",
-    "dense-m3/sasaki-tm": "dc0acb1fca42d18106b0c9c558413e153e945cbf3c53c180f8930f092396a35d",
+    "dense-m3/sasaki-tm": "fe926469d223647fdd2cdb795f07e55fc769758696968c64e767bb8327481fde",
     "dense-m3/complete-tm": "0566127bf1cfc0ecec3384b18672b3f1ca5efd555ac0c8b30c677c8d931e75be",
-    "dense-m3/sasaki-ctm": "2581d3fdb60bbd524557f34650b41d0f97903f67d0e557c5309d197dd5c899b0",
+    "dense-m3/sasaki-ctm": "c872bae6c1390d74cb23fec848b137a2fa093fc6444a1afcfe59bd1cb2b59e9b",
 }
 
 GOLDEN_CASES = [
