@@ -52,10 +52,8 @@ from .lifts import LiftKind, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
     MetricDegenerate,
-    _checked_inverse,
+    _connection_at,
     _riemann,
-    christoffel_and_derivative_at,
-    metric_at,
     shared_component_sources,
 )
 
@@ -368,9 +366,7 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
         raise ManifestError("tensors needs --at \"v1,v2,...\"")
     g, _ = build_metrics(manifest, need_hat=False)
     x = _parse_point(args.at, g.dim)
-    G = metric_at(g, x)
-    Ginv = _checked_inverse(G, x)
-    gamma, dgamma = christoffel_and_derivative_at(g, x)
+    G, Ginv, _, gamma, dgamma = _connection_at(g, x, 2)
     riem = _riemann(gamma, dgamma)
     nonzero = {}
     m = g.dim

@@ -100,31 +100,37 @@ class EvalDomainError(ExprError):
         self.culprit = culprit
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    # source text, cut: a dataclass repr would expand a shared DAG as a tree
+    def __repr__(self) -> str:
+        return to_source(self, limit=CULPRIT_CHARS)
+
+
+@dataclass(frozen=True, repr=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Sym:
+@dataclass(frozen=True, repr=False)
+class Sym(_Node):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, repr=False)
+class Neg(_Node):
     arg: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, repr=False)
+class Binary(_Node):
     op: str  # one of + - * / ^
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, repr=False)
+class Call(_Node):
     fn: str
     arg: "ExprAst"
 
@@ -684,9 +690,10 @@ def _int_power(base, n: int, node: ExprAst):
     if n == 0:
         return 1.0
     if n < 0:
-        if np.any(np.asarray(_value_of(base)) == 0.0):
-            raise EvalDomainError("zero raised to a negative power", node)
-        return 1.0 / _int_power(base, -n, node)
+        inverse = _int_power(base, -n, node)  # zero for a zero or tiny base
+        if np.any(np.asarray(_value_of(inverse)) == 0.0):
+            raise EvalDomainError("zero or underflowing base raised to a negative power", node)
+        return 1.0 / inverse
     result = None
     square = base
     while n:

@@ -46,8 +46,7 @@ from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
-    _checked_inverse,
-    _gamma_from_inverse,
+    _connection_at,
     _screen,
     _solve,
     metric_jets_at,
@@ -231,11 +230,8 @@ def tension_map_at(
                 f"vs [{lo}, {hi}]"
             )
 
-    G, dG, _ = metric_jets_at(g, x, order=1)
-    ginv = _checked_inverse(G, x)
-    gamma, _ = _gamma_from_inverse(ginv, dG)
-    Gh, dGh, _ = metric_jets_at(h, y, order=1)
-    gamma_h, _ = _gamma_from_inverse(_checked_inverse(Gh, y), dGh)
+    _, ginv, _, gamma, _ = _connection_at(g, x, 1)
+    gamma_h = _connection_at(h, y, 1)[3]
 
     nabla = (
         d2phi

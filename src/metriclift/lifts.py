@@ -10,7 +10,7 @@ supported, each in two presentations:
   the Sasaki lift on T*M that frame is the adapted frame
   ``{delta_i, d/dfiber^i}`` built from the base connection; for the
   complete lift it is the induced coordinate frame itself.  The blocks
-  are formed at one bundle point, from second jets of the base metric.
+  are formed at one bundle point, from ``metric._connection_at``.
 * ``lift_to_chart``: an honest :class:`ChartedMetric` on the induced
   2m-dimensional chart (x, fiber), assembled symbolically from the
   component trees and their derivatives, with no simplification beyond
@@ -60,11 +60,9 @@ from .exprlang import ExprAst
 from .harmonic import _sampled_report, lattice_points, shared_domain
 from .metric import (
     ChartedMetric,
-    _checked_inverse,
-    _connection_from_inverse,
+    _connection_at,
     _riemann,
     christoffel_and_derivative_at,
-    metric_jets_at,
     mirror_components,
 )
 
@@ -149,23 +147,15 @@ def _bundle_box(base_box, m: int):
     return tuple(base_box) + (FIBER_INTERVAL,) * m
 
 
-def _base_jets(g: ChartedMetric, x):
-    """``(ginv, G, dG, d2G)``: g's screened inverse (``_checked_inverse``)
-    and second jets at base points ``x``."""
+def _lift_blocks(kind: LiftKind, g: ChartedMetric, x, w):
+    """Lift blocks of ``g`` at bundle points with base part ``x`` and
+    fiber part ``w``, both ``(..., m)``, from g's connection at ``x``
+    (:func:`metric._connection_at`): ``(metric, inverse, gamma_base,
+    gamma_fiber)`` shaped ``(..., 2m, 2m)`` and ``(..., m, 2m, 2m)``."""
     if x.shape[-1] != g.dim:
         raise ValueError("fiber point dimension does not match the chart")
-    G, dG, d2G = metric_jets_at(g, x, order=2)
-    return _checked_inverse(G, x), G, dG, d2G
-
-
-def _lift_blocks(kind: LiftKind, ginv, G, dG, d2G, w):
-    """Lift blocks at bundle points with fiber part ``w`` of shape
-    ``(..., m)``, from the base metric's inverse and second jets at their
-    base points (screened by :func:`_base_jets`): ``(metric, inverse,
-    gamma_base, gamma_fiber)`` shaped ``(..., 2m, 2m)`` and
-    ``(..., m, 2m, 2m)``."""
-    m = G.shape[-1]
-    gamma, dgamma = _connection_from_inverse(ginv, dG, d2G)
+    m = g.dim
+    G, ginv, dG, gamma, dgamma = _connection_at(g, x, 2)
     batch = G.shape[:-2]
     metric = np.zeros(batch + (2 * m, 2 * m))
     inverse = np.zeros_like(metric)
@@ -220,7 +210,7 @@ def _lift_blocks(kind: LiftKind, ginv, G, dG, d2G, w):
 def lift_blocks_at(g: ChartedMetric, kind: LiftKind, q: FiberPoint) -> LiftBlocks:
     """Metric, inverse and Christoffel blocks of the lifted metric at a
     bundle point, in the frame reported by ``kind.frame``."""
-    blocks = _lift_blocks(kind, *_base_jets(g, q.base), q.fiber)
+    blocks = _lift_blocks(kind, g, q.base, q.fiber)
     return LiftBlocks(kind, kind.frame, *blocks)
 
 
@@ -242,8 +232,8 @@ def lifted_tension_at(
     if g.coords != ghat.coords:
         raise ValueError("lifted pair must share the chart")
     m = g.dim
-    _, inverse, gb, gf = _lift_blocks(kind, *_base_jets(g, q.base), q.fiber)
-    _, _, gb_hat, gf_hat = _lift_blocks(kind, *_base_jets(ghat, q.base), q.fiber)
+    _, inverse, gb, gf = _lift_blocks(kind, g, q.base, q.fiber)
+    _, _, gb_hat, gf_hat = _lift_blocks(kind, ghat, q.base, q.fiber)
     contract = inverse
     if kind is LiftKind.HORIZONTAL_TM:
         # the Sasaki-type inverse diag(g^-1, g^-1)

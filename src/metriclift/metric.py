@@ -3,8 +3,10 @@
 A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
-exact jets of the components; the functions below accept a single point
-``(m,)`` or a batch ``(N, m)`` and return correspondingly shaped arrays.
+exact jets of the components, outside the sampler by one routine,
+``_connection_at``, which checks the jets are finite; the functions below
+accept a single point ``(m,)`` or a batch ``(N, m)`` and return
+correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
 text.  Christoffel symbols are stored as ``gamma[..., k, i, j]`` and the
@@ -334,30 +336,32 @@ def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
     return _checked_inverse(metric_at(g, x), x)
 
 
-def _gamma_from_inverse(ginv, dG):
-    """``(gamma, C)`` from g's inverse and first jets, with C the
-    Christoffel symbols of the first kind."""
-    # C[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+def _connection_at(g: ChartedMetric, x, order: int):
+    """``(G, ginv, dG, gamma, dgamma)`` at a point or batch ``x``, from one
+    :func:`metric_jets_at` pass of ``order`` 1 or 2 and one screened
+    :func:`_checked_inverse`; ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
+    is ``None`` at order 1.  An entry whose jet is not finite at a point
+    raises :class:`exprlang.EvalDomainError` quoting it, before factoring."""
+    G, dG, d2G = metric_jets_at(g, x, order)
+    m = g.dim
+    finite = np.isfinite(G) & np.isfinite(dG).all(axis=-1)
+    if d2G is not None:
+        finite &= np.isfinite(d2G).all(axis=(-2, -1))
+    bad = np.argwhere(~finite.reshape(-1, m, m))
+    if bad.size:
+        n, i, j = bad[0]
+        pt = ", ".join(repr(float(v)) for v in np.reshape(x, (-1, m))[n])
+        msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
+        raise ex.EvalDomainError(msg, g.components[i][j])
+    ginv = _checked_inverse(G, x)
+    # C[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij (first kind)
     di_gjl = np.einsum("...jli->...lij", dG)
     dj_gil = np.einsum("...ilj->...lij", dG)
     dl_gij = np.einsum("...ijl->...lij", dG)
     C = di_gjl + dj_gil - dl_gij
     gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, C)
-    return gamma, C
-
-
-def christoffel_at(g: ChartedMetric, x) -> np.ndarray:
-    """Levi-Civita symbols ``gamma[..., k, i, j]`` from first jets of the
-    components; symmetric in (i, j) exactly."""
-    G, dG, _ = metric_jets_at(g, x, order=1)
-    gamma, _ = _gamma_from_inverse(_checked_inverse(G, x), dG)
-    return gamma
-
-
-def _connection_from_inverse(ginv, dG, d2G):
-    """``(gamma, dgamma)`` from g's inverse and second jets of the
-    components; the caller has screened G for degeneracy."""
-    gamma, C = _gamma_from_inverse(ginv, dG)
+    if d2G is None:
+        return G, ginv, dG, gamma, None
     # d_p g^{kl} = -g^{ka} (d_p g_ab) g^{bl}, contracted over a, then b:
     # two O(m^4) steps per point instead of one O(m^5) loop
     dginv = np.einsum("...ka,...abp->...kbp", ginv, dG)
@@ -371,15 +375,20 @@ def _connection_from_inverse(ginv, dG, d2G):
         np.einsum("...klp,...lij->...kijp", dginv, C)
         + np.einsum("...kl,...lijp->...kijp", ginv, dC)
     )
-    return gamma, dgamma
+    return G, ginv, dG, gamma, dgamma
+
+
+def christoffel_at(g: ChartedMetric, x) -> np.ndarray:
+    """Levi-Civita symbols ``gamma[..., k, i, j]`` from first jets of the
+    components; symmetric in (i, j) exactly."""
+    return _connection_at(g, x, 1)[3]
 
 
 def christoffel_and_derivative_at(g: ChartedMetric, x):
     """``(gamma, dgamma)`` with ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
     computed from exact second jets (needed by curvature and the
     fiber-contracted blocks of complete lifts)."""
-    G, dG, d2G = metric_jets_at(g, x, order=2)
-    return _connection_from_inverse(_checked_inverse(G, x), dG, d2G)
+    return _connection_at(g, x, 2)[3:]
 
 
 def _riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

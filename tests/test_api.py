@@ -1,10 +1,17 @@
-"""Every name a module exports must resolve: the benchmark tracer wraps
-each ``__all__`` entry with ``getattr``, so a stale one breaks every
-traced run."""
+"""The package's surface and its single routes.
 
+Every name a module exports must resolve: the benchmark tracer wraps
+each ``__all__`` entry with ``getattr``, so a stale one breaks every
+traced run.  And the jets, the screened inverse and LAPACK are each
+reached from the one place that owns them, read from the source."""
+
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import metriclift
 
 MODULES = [
     "metriclift",
@@ -23,3 +30,47 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _owners(match) -> set:
+    """``module.function`` of the top-level definition around each node of
+    the package source that ``match`` accepts (``module.<module>`` for a
+    node outside every definition)."""
+    found = set()
+    for path in sorted(Path(metriclift.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            if any(match(node) for node in ast.walk(top)):
+                found.add(f"{path.stem}.{owner}")
+    return found
+
+
+def _calls(name: str):
+    def match(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        fn = node.func
+        return getattr(fn, "id", None) == name or getattr(fn, "attr", None) == name
+
+    return match
+
+
+def _uses_linalg(node) -> bool:
+    if isinstance(node, ast.alias):  # import numpy.linalg, from numpy import linalg
+        return "linalg" in node.name.split(".")
+    return getattr(node, "attr", None) == "linalg" or getattr(node, "id", None) == "linalg"
+
+
+def test_one_route_to_the_jets_the_inverse_and_lapack():
+    # g's inverse and connection come from metric._connection_at; only the
+    # sampler kernel takes its jets on its own
+    assert _owners(_calls("metric_jets_at")) == {
+        "metric._connection_at",
+        "harmonic._identity_tension",
+    }
+    assert {owner.split(".")[0] for owner in _owners(_calls("_checked_inverse"))} == {"metric"}
+    assert _owners(_uses_linalg) == {
+        "metric._solve",
+        "lifts.connection_in_frame",
+        "lifts.components_in_adapted_frame",
+    }

@@ -217,6 +217,22 @@ class TestCheck:
         assert "error" in strict_json(child.stdout)
         assert child.stderr == ""
 
+    @pytest.mark.parametrize("command", [["check"], ["tensors", "--at=0.1,0.2"]])
+    def test_negative_power_that_underflows_exits_two(self, tmp_path, command):
+        # (1e-200)^2 underflows to 0.0, so the constant (1e-200)^-2 is 1/0
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["2 + x1 + (1e-200)^-2", "0"], ["0", "1"]],
+            "hat_metric": [["1", "0"], ["0", "1"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        child = run_child(command[0], "--manifest", path, *command[1:])
+        assert child.returncode == 2
+        err = strict_json(child.stdout)["error"]
+        assert err["kind"] == "EvalDomainError"
+        assert "'1e-200^-2'" in err["message"]
+        assert child.stderr == ""
+
     @pytest.mark.parametrize(
         "lift, component",
         [

@@ -10,12 +10,13 @@ same matrices, check that the two sides give the same reports, and that
 the screen catches singular and NaN matrices on both.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from metriclift import EgorovSpec, egorov_metric, metric
+from metriclift import EgorovSpec, cli, egorov_metric, metric
 from metriclift.harmonic import check_harmonic
 from metriclift.lifts import FiberPoint, LiftKind, check_lift_conditions, lift_blocks_at
 from metriclift.metric import (
@@ -25,6 +26,7 @@ from metriclift.metric import (
     _checked_inverse,
     _solve,
     metric_at,
+    metric_jets_at,
 )
 from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, domain_points
 
@@ -222,3 +224,32 @@ def test_lift_blocks_factor_the_metric_once(monkeypatch, kind):
     monkeypatch.setattr(np.linalg, "inv", inv)
     lift_blocks_at(g, kind, FiberPoint([0.1, -0.2, 0.3], [0.5, 0.4, -0.6]))
     assert calls == [(1, 3, 3)]
+
+
+def test_tensors_evaluate_and_factor_the_metric_once(monkeypatch, tmp_path, capsys):
+    solves, jet_orders, value_calls = [], [], []
+
+    def spy(A, B):
+        solves.append(A.shape)
+        return _solve(A, B)
+
+    def jets(g, x, order=2):
+        jet_orders.append(order)
+        return metric_jets_at(g, x, order)
+
+    def values(g, x):
+        value_calls.append(x)
+        return metric_at(g, x)
+
+    g = FIXTURES["dense-m3"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"coordinates": list(g.coords), "metric": g.component_sources()}))
+    monkeypatch.setattr(metric, "_solve", spy)
+    monkeypatch.setattr(metric, "metric_jets_at", jets)
+    for mod in (metric, cli):  # wherever the command could find it by name
+        monkeypatch.setattr(mod, "metric_at", values, raising=False)
+    assert cli.main(["tensors", "--manifest", str(path), "--at=0.1,-0.2,0.3"]) == 0
+    assert "curvature" in json.loads(capsys.readouterr().out)
+    assert solves == [(1, 3, 3)]
+    assert jet_orders == [2]
+    assert value_calls == []

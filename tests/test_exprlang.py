@@ -24,7 +24,9 @@ from metriclift.exprlang import (
     to_source,
 )
 from metriclift.jets import Jet2, as_jet2
+from metriclift.lifts import LiftKind, lift_to_chart
 from metriclift.metric import ChartedMetric, metric_jets_at
+from conftest import dense_metric
 
 _A, _B, _C = Sym(0, "a"), Sym(1, "b"), Sym(2, "c")
 
@@ -600,6 +602,29 @@ def test_error_text_is_capped():
     assert culprit.startswith("log(0 - (1 + x1)*(1 + x1)*((1 + x1)*(1 + x1))")
     assert to_source(Neg(Sym(0, "x1")), limit=ex.CULPRIT_CHARS) == "-x1"
 
+
+def test_repr_is_capped_source_text():
+    # a dataclass repr expanded the shared DAG of this entry to 730,575
+    # characters, so a failing assertion on a lifted chart could not print
+    entry = lift_to_chart(dense_metric(3), LiftKind.SASAKI_TM).components[0][0]
+    assert len(to_source(entry)) > 70_000
+    text = repr(entry)
+    assert len(text) <= ex.CULPRIT_CHARS + len("...")
+    assert text == to_source(entry, limit=ex.CULPRIT_CHARS)
+    assert repr(parse_expression("2*x1^-3", ["x1"])) == "2*x1^-3"
+    assert repr(Num(0.5)) == "0.5" and repr(Sym(0, "x1")) == "x1"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1e-200, np.float64(1e-200), np.array([1.0, 1e-200]), Jet2.coordinate(np.array([1e-200]), 0)],
+    ids=["float", "numpy-scalar", "array", "jet"],
+)
+def test_negative_power_that_underflows_is_a_domain_error(value):
+    # (1e-200)^2 underflows to 0.0, so the negative power is 1/0
+    e = parse_expression("x1^-2", ["x1"])
+    with pytest.raises(EvalDomainError, match=r"in 'x1\^-2'"):
+        ex.evaluate(e, [value])
 
 
 def test_walks_take_any_depth():

@@ -3,8 +3,15 @@ import pytest
 
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
 from metriclift import exprlang as ex
+from metriclift.harmonic import CoordinateMap, tension_map_at
 from metriclift.jets import Jet2, as_jet2
-from metriclift.lifts import LiftKind, lift_to_chart
+from metriclift.lifts import (
+    FiberPoint,
+    LiftKind,
+    lift_blocks_at,
+    lift_to_chart,
+    lifted_tension_at,
+)
 from metriclift.metric import (
     ChartedMetric,
     MetricDegenerate,
@@ -218,3 +225,47 @@ class TestConstruction:
         back = ChartedMetric.from_strings(g.coords, g.component_sources(), g.domain)
         x = domain_points(g, 7)
         assert np.array_equal(metric_at(g, x), metric_at(back, x))
+
+
+# Every consumer of the connection at x1 = 0.9, where exp(1000*x1)
+# overflows: the non-finite entry is reported, not returned as NaN (a
+# leaked RuntimeWarning fails the test too), and a finite singular metric
+# is still degenerate.
+OVERFLOWS = ChartedMetric.from_strings(
+    ["x1", "x2"], [["exp(1000*x1)", "0"], ["0", "1"]], [(-1, 1), (-1, 1)]
+)
+SINGULAR = ChartedMetric.from_strings(
+    ["x1", "x2"], [["x1 - 0.9", "0"], ["0", "1"]], [(-1, 1), (-1, 1)]
+)
+IDENTITY2 = CoordinateMap.from_strings(["x1", "x2"], ["x1", "x2"], ["x1", "x2"])
+AT = [0.9, 0.0]
+Q = FiberPoint(AT, [0.3, -0.2])
+CONNECTION_CONSUMERS = {
+    "christoffel_at": lambda g: christoffel_at(g, AT),
+    "christoffel_and_derivative_at": lambda g: christoffel_and_derivative_at(g, AT),
+    "curvature_at": lambda g: curvature_at(g, AT),
+    "lift_blocks_at": lambda g: lift_blocks_at(g, LiftKind.SASAKI_TM, Q),
+    "lifted_tension_at": lambda g: lifted_tension_at(g, FLAT2, LiftKind.SASAKI_CTM, Q),
+    "lifted_tension_at-hat": lambda g: lifted_tension_at(FLAT2, g, LiftKind.COMPLETE_TM, Q),
+    "tension_map_at-source": lambda g: tension_map_at(IDENTITY2, g, FLAT2, AT),
+    "tension_map_at-target": lambda g: tension_map_at(IDENTITY2, FLAT2, g, [AT, AT]),
+}
+
+
+@pytest.mark.parametrize("name", CONNECTION_CONSUMERS)
+def test_non_finite_entry_is_named(name):
+    with pytest.raises(ex.EvalDomainError) as exc:
+        CONNECTION_CONSUMERS[name](OVERFLOWS)
+    assert exc.value.culprit == "exp(1000*x1)"
+    assert str(exc.value) == (
+        "metric entry (1,1) or a derivative of it is not finite at (0.9, 0.0) "
+        "in 'exp(1000*x1)'"
+    )
+
+
+@pytest.mark.parametrize("name", CONNECTION_CONSUMERS)
+def test_finite_singular_metric_is_degenerate(name):
+    with pytest.raises(MetricDegenerate) as exc:
+        CONNECTION_CONSUMERS[name](SINGULAR)
+    assert np.array_equal(exc.value.point, AT)
+    assert exc.value.det == 0.0
