@@ -277,6 +277,8 @@ class _Parser:
                 self.fail(f"unexpected token {text!r}", pos - 1)
             if not text.isidentifier():
                 value = float(text)
+                if not math.isfinite(value):
+                    self.fail(f"number {text!r} is out of the float range", pos - 1)
                 # float.hex keeps distinct floats (0.0 and -0.0 too) apart
                 operands.append(node((Num, value.hex()), Num, value))
             elif tokens[pos] == "(":
@@ -389,7 +391,7 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 

@@ -27,12 +27,12 @@ of a metric against itself exactly zero.
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
 verdict.  Each metric is evaluated and factored once per batch of
-candidate points: the jets that screen out degenerate candidates are the
-jets the residual is computed from, and the factorization of
-``metric._solve`` (described in the ``metric`` module docstring) gives
-both the determinant of the screen and g's inverse (for g) or the solve
-(for ghat).  A sampled verdict never claims global harmonicity, hence
-the wording "harmonic-on-samples".
+candidate points: the jets that screen out degenerate candidates feed
+the tension kernel, whose ``metric._solve`` (see the ``metric`` module
+docstring) gives both the determinant of the screen and g's inverse (for
+g) or the solve (for ghat).  ``tension_identity_at`` feeds that kernel
+the checked jets of ``metric._connection_at``.  A sampled verdict never
+claims global harmonicity, hence the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
     _connection_at,
-    _screen,
     _solve,
     metric_jets_at,
 )
@@ -155,16 +154,14 @@ def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
     )
 
 
-def _identity_tension(g: ChartedMetric, ghat: ChartedMetric, x):
-    """``(det g, det ghat, tau)`` at a batch ``x`` of ``N`` points, ``tau``
-    ``(N, m)``: one order-1 :func:`metric_jets_at` pass per metric, then
-    ``metric._solve`` for det g and g's inverse, and for det ghat and the
-    solve (see the module docstring).  On the points-last jets the
-    contractions run along contiguous sample rows.  Where either det is
-    not above 1e-12 tau is meaningless; the caller screens on the dets.
+def _identity_tension(G, dG, Gh, dGh):
+    """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets
+    of g and ghat at a batch of ``N`` points: ``metric._solve`` for det g
+    and g's inverse, and for det ghat and the solve (see the module
+    docstring).  On points-last jets the contractions run along
+    contiguous sample rows.  Where either det is not above 1e-12 tau is
+    meaningless; the caller screens on the dets.
     """
-    G, dG, _ = metric_jets_at(g, x, order=1)
-    Gh, dGh, _ = metric_jets_at(ghat, x, order=1)
     eye = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
     with np.errstate(all="ignore"):
         det, ginv = _solve(G, eye)
@@ -183,16 +180,16 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     Contract-first (see the module docstring):
     tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
     chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
-    inverse is never formed.  Raises :class:`MetricDegenerate` naming the
-    first point where g, else ghat, has |det| not above 1e-12.
+    inverse is never formed.  The jets come from ``metric._connection_at``,
+    which raises (on g first) at an entry that is not finite or a point
+    where |det| is not above 1e-12.
     """
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    det, det_hat, tau = _identity_tension(g, ghat, flat)
-    for d in (det, det_hat):
-        _screen(d, flat)
-    return tau.reshape(pt.shape)
+    G, _, dG, _, _ = _connection_at(g, flat, 1)
+    Gh, _, dGh, _, _ = _connection_at(ghat, flat, 1)
+    return _identity_tension(G, dG, Gh, dGh)[2].reshape(pt.shape)
 
 
 def tension_map_at(
@@ -285,10 +282,10 @@ def _collect_samples(
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
     most 10x candidates, with the identity tension there.
 
-    Each candidate batch takes one :func:`_identity_tension` on all of
-    its candidates: the screen |det| > 1e-12 reads the determinants of
-    the factorizations that give the tension, so no metric is evaluated
-    twice at a point.
+    Each candidate batch takes one order-1 :func:`metric_jets_at` pass per
+    metric for :func:`_identity_tension`: the screen |det| > 1e-12 reads
+    the determinants of the factorizations that give the tension, so no
+    metric is evaluated twice at a point.
     When the whole batch is kept its arrays are returned as they are.
     ``domain`` is the shared box, or for a lift the shared box times the
     fiber box.
@@ -304,7 +301,9 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        det, det_hat, tau = _identity_tension(g, ghat, cand[:, :m])
+        G, dG, _ = metric_jets_at(g, cand[:, :m], order=1)
+        Gh, dGh, _ = metric_jets_at(ghat, cand[:, :m], order=1)
+        det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
         ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
         rejected += cand.shape[0] - keep.size

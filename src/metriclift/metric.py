@@ -4,8 +4,9 @@ A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
 exact jets of the components, outside the sampler by one routine,
-``_connection_at``, which checks the jets are finite; the functions below
-accept a single point ``(m,)`` or a batch ``(N, m)`` and return
+``_connection_at``, which checks the jets are finite and factors them by
+``_checked_inverse``; only :func:`metric_at` is unchecked.  The functions
+below accept a single point ``(m,)`` or a batch ``(N, m)`` and return
 correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
@@ -16,8 +17,8 @@ curvature tensor as ``riem[..., k, i, j, h]`` with
 
 antisymmetric in (i, j) bit-for-bit.
 
-Every inverse and every degeneracy screen comes from one factorization
-per metric and batch of points, ``_solve``.  A batch of
+Every inverse and every degeneracy screen comes from one routine,
+``_solve``, which factors a batch of points once.  A batch of
 ``ELIMINATION_MIN_POINTS`` points or more runs one Gauss-Jordan
 elimination with partial pivoting, vectorised along the sample axis of
 points-last arrays; it gives the determinant (the product of the pivots)
@@ -25,7 +26,8 @@ and the inverse or solve together.  A smaller batch calls LAPACK per
 matrix (``np.linalg.det``, then ``np.linalg.solve``): at those sizes the
 numpy calls of each elimination step cost more than factoring twice.  A
 point is degenerate where |det| is not above 1e-12, NaN included: the
-sampler skips it, and every other caller raises :class:`MetricDegenerate`.
+sampler skips it, and ``_checked_inverse`` raises :class:`MetricDegenerate`
+for every other caller.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def _point_env(g: ChartedMetric, x) -> np.ndarray:
 
 
 def metric_at(g: ChartedMetric, x) -> np.ndarray:
-    """Component matrix at ``x``; symmetric by construction."""
+    """Component matrix at ``x``, symmetric by construction: plain values,
+    unchecked (the reference of the finite-difference oracles)."""
     pt = _point_env(g, x)
     m = g.dim
     env = [pt[..., i] for i in range(m)]
@@ -309,31 +312,25 @@ def _solve(A: np.ndarray, B: np.ndarray):
     return det, X.transpose(1, 2, 0).copy().transpose(2, 0, 1)
 
 
-def _screen(det: np.ndarray, x) -> None:
-    """Raise :class:`MetricDegenerate` at the first point of ``x`` where
-    |det| is not above 1e-12 (NaN included): where the sampler
-    (``harmonic._collect_samples``) rejects a candidate."""
-    bad = np.flatnonzero(~(np.abs(det) > DEGENERACY_EPS))
-    if bad.size:
-        pt = np.asarray(x, dtype=float)
-        raise MetricDegenerate(pt.reshape(-1, pt.shape[-1])[bad[0]], det.ravel()[bad[0]])
-
-
 def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
     """Inverse of the matrices ``G`` at the points ``x`` by one
-    :func:`_solve`, screened on its det (:func:`_screen`)."""
+    :func:`_solve`.  Raises :class:`MetricDegenerate` at the first point
+    where |det| is not above 1e-12 (NaN included): where the sampler
+    (``harmonic._collect_samples``) rejects a candidate."""
     m = G.shape[-1]
     flat = G.reshape(-1, m, m)
     with np.errstate(all="ignore"):
         det, ginv = _solve(flat, np.broadcast_to(np.eye(m), flat.shape))
-    _screen(det, x)
+    bad = np.flatnonzero(~(np.abs(det) > DEGENERACY_EPS))
+    if bad.size:
+        raise MetricDegenerate(np.reshape(x, (-1, m))[bad[0]], det[bad[0]])
     return ginv.reshape(G.shape)
 
 
 def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
-    """Matrix inverse of the components at ``x`` (partial pivoting);
-    raises :class:`MetricDegenerate` where |det| is not above 1e-12."""
-    return _checked_inverse(metric_at(g, x), x)
+    """Matrix inverse of the components at ``x``, checked and factored by
+    :func:`_connection_at` (:class:`MetricDegenerate` if |det| <= 1e-12)."""
+    return _connection_at(g, x, 1)[1]
 
 
 def _connection_at(g: ChartedMetric, x, order: int):

@@ -63,12 +63,16 @@ def _uses_linalg(node) -> bool:
 
 def test_one_route_to_the_jets_the_inverse_and_lapack():
     # g's inverse and connection come from metric._connection_at; only the
-    # sampler kernel takes its jets on its own
+    # sampler takes its jets on its own, for the tension kernel on jets
     assert _owners(_calls("metric_jets_at")) == {
         "metric._connection_at",
+        "harmonic._collect_samples",
+    }
+    assert _owners(_calls("_checked_inverse")) == {"metric._connection_at"}
+    assert _owners(_calls("_solve")) == {
+        "metric._checked_inverse",
         "harmonic._identity_tension",
     }
-    assert {owner.split(".")[0] for owner in _owners(_calls("_checked_inverse"))} == {"metric"}
     assert _owners(_uses_linalg) == {
         "metric._solve",
         "lifts.connection_in_frame",

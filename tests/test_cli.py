@@ -234,6 +234,28 @@ class TestCheck:
         assert child.stderr == ""
 
     @pytest.mark.parametrize(
+        "command",
+        [["lift", "--lift", "sasaki-tm"], ["check"], ["tensors", "--at=0.1,0.2"]],
+        ids=["lift", "check", "tensors"],
+    )
+    def test_out_of_range_literal_exits_two(self, tmp_path, capsys, command):
+        # float("1e999") is inf: the literal is refused where it is parsed,
+        # not found later as an overflow of the entry or of its printing
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["1e999 + x1^2", "0"], ["0", "1"]],
+            "hat_metric": [["1", "0"], ["0", "1"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, command[0], "--manifest", path, *command[1:])
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ManifestError"
+        assert err["message"].endswith(
+            "number '1e999' is out of the float range (at offset 0)"
+        )
+
+    @pytest.mark.parametrize(
         "lift, component",
         [
             pytest.param(lift, component, id=lift)

@@ -133,6 +133,17 @@ class TestParsing:
         assert str(exc.value) == f"{message} (at offset {offset})"
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize(
+        "source, literal, offset", [("1e999 + x1^2", "1e999", 0), ("x1*2.5E308", "2.5E308", 3)]
+    )
+    def test_out_of_range_literal(self, source, literal, offset):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(source, ["x1"])
+        assert str(exc.value) == (
+            f"number '{literal}' is out of the float range (at offset {offset})"
+        )
+        assert exc.value.offset == offset
+
     def test_symbols_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             parse_expression("x1", ["x1", "x1"])
@@ -326,6 +337,7 @@ def test_differentiate_matches_jets(rng):
         "exp(x1*x2) - tanh(x1)",
         "sqrt(x1^2 + 1)*log(x2 + 3)",
         "x1^-2 + tan(x2/4)",
+        "(x1^2 + 1.5)^(x2 + 0.3*x1)",
     ]:
         e = parse_expression(src, symbols)
         for k in range(2):
@@ -601,6 +613,13 @@ def test_error_text_is_capped():
     assert len(culprit) == ex.CULPRIT_CHARS + len("...")
     assert culprit.startswith("log(0 - (1 + x1)*(1 + x1)*((1 + x1)*(1 + x1))")
     assert to_source(Neg(Sym(0, "x1")), limit=ex.CULPRIT_CHARS) == "-x1"
+
+
+def test_non_finite_folded_constant_prints():
+    # folding can make a constant no literal can spell
+    big = ex.mul(ex.const(1e200), ex.const(1e200))
+    assert to_source(big) == repr(big) == "inf"
+    assert to_source(ex.sub(big, big)) == "nan"
 
 
 def test_repr_is_capped_source_text():

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
-from metriclift.harmonic import lattice_points, shared_domain, tension_identity_at
+from metriclift.harmonic import (
+    _identity_tension,
+    lattice_points,
+    shared_domain,
+    tension_identity_at,
+)
 from metriclift.lifts import (
+    FIBER_INTERVAL,
     FiberPoint,
     LiftKind,
     adapted_frame_at,
@@ -15,7 +21,7 @@ from metriclift.lifts import (
     lift_to_chart,
     lifted_tension_at,
 )
-from metriclift.metric import ChartedMetric, christoffel_at, metric_at
+from metriclift.metric import ChartedMetric, _connection_at, christoffel_at, metric_at
 from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric
 
 ALL_KINDS = list(LiftKind)
@@ -375,6 +381,55 @@ class TestFrameChangeOracle:
         v = np.arange(6, dtype=float)
         w = components_in_adapted_frame(frame, v)
         assert np.allclose(frame.T @ w, v, atol=1e-14)
+
+
+def _sasaki_tm_jets(g, pts):
+    """First jets ``(G, dG)`` of g's Sasaki-TM lift at bundle points
+    ``(x, u)``, assembled from the base connection at order 2:
+    G~ = [[g + A^T g A, A^T g], [g A, g]] with A^k_i = u^h Gamma^k_hi."""
+    m = g.dim
+    G, _, dG, gamma, dgamma = _connection_at(g, pts[:, :m], 2)
+    u = pts[:, m:]
+    A = np.einsum("nh,nkhi->nki", u, gamma)
+    # d_p A = u^h d_p Gamma^k_hi along the base, dA/du^h = Gamma^k_hi along
+    # the fiber; g does not depend on u
+    dA = np.concatenate(
+        [np.einsum("nh,nkhip->nkip", u, dgamma), np.einsum("nkhi->nkih", gamma)], axis=-1
+    )
+    dg = np.concatenate([dG, np.zeros_like(dG)], axis=-1)
+    gA = np.einsum("nlk,nki->nli", G, A)
+    d_gA = np.einsum("nlkp,nki->nlip", dg, A) + np.einsum("nlk,nkip->nlip", G, dA)
+    AgA = np.einsum("nki,nkj->nij", A, gA)
+    d_AgA = np.einsum("nkip,nkj->nijp", dA, gA) + np.einsum("nki,nkjp->nijp", A, d_gA)
+
+    def blocks(g_, gA_, AgA_):  # axes 1 and 2 are the matrix indices
+        top = np.concatenate([g_ + AgA_, np.swapaxes(gA_, 1, 2)], axis=2)
+        return np.concatenate([top, np.concatenate([gA_, g_], axis=2)], axis=1)
+
+    return blocks(G, gA, AgA), blocks(dg, d_gA, d_AgA)
+
+
+@pytest.mark.parametrize(
+    "g, ghat, honest",
+    [
+        (EGOROV3, egorov_metric(EgorovSpec(3, "exp(x3)+1")), 1e-2),
+        (DENSE3, dense_metric(3, quad=0.3, amp=0.05), 0.0),
+    ],
+    ids=["egorov-m3", "dense-m3"],
+)
+def test_tension_kernel_takes_lifted_jets(g, ghat, honest):
+    # the sampler's tension kernel takes jets, so jets of a lifted metric
+    # assembled from the base connection give the tension of the lifted
+    # charts; on the Egorov pair, harmonic on the base, that honest tension
+    # does not vanish (README, Known result 2)
+    m = g.dim
+    pts = lattice_points(shared_domain(g, ghat) + (FIBER_INTERVAL,) * m, 32, 5)
+    got = _identity_tension(*_sasaki_tm_jets(g, pts), *_sasaki_tm_jets(ghat, pts))[2]
+    want = tension_identity_at(
+        lift_to_chart(g, LiftKind.SASAKI_TM), lift_to_chart(ghat, LiftKind.SASAKI_TM), pts
+    )
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(want).max() > honest
 
 
 class TestCheckLiftConditions:

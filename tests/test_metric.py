@@ -3,7 +3,7 @@ import pytest
 
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
 from metriclift import exprlang as ex
-from metriclift.harmonic import CoordinateMap, tension_map_at
+from metriclift.harmonic import CoordinateMap, tension_identity_at, tension_map_at
 from metriclift.jets import Jet2, as_jet2
 from metriclift.lifts import (
     FiberPoint,
@@ -249,6 +249,10 @@ CONNECTION_CONSUMERS = {
     "lifted_tension_at-hat": lambda g: lifted_tension_at(FLAT2, g, LiftKind.COMPLETE_TM, Q),
     "tension_map_at-source": lambda g: tension_map_at(IDENTITY2, g, FLAT2, AT),
     "tension_map_at-target": lambda g: tension_map_at(IDENTITY2, FLAT2, g, [AT, AT]),
+    "inverse_metric_at": lambda g: inverse_metric_at(g, AT),
+    "inverse_metric_at-batch": lambda g: inverse_metric_at(g, [AT, [0.0, 0.0]]),
+    "tension_identity_at": lambda g: tension_identity_at(g, FLAT2, AT),
+    "tension_identity_at-hat": lambda g: tension_identity_at(FLAT2, g, [AT, [0.0, 0.0]]),
 }
 
 
