@@ -30,9 +30,9 @@ verdict.  Each metric is evaluated and factored once per batch of
 candidate points: the jets that screen out degenerate candidates feed
 the tension kernel, whose ``metric._solve`` (see the ``metric`` module
 docstring) gives both the determinant of the screen and g's inverse (for
-g) or the solve (for ghat).  ``tension_identity_at`` feeds that kernel
-the checked jets of ``metric._connection_at``.  A sampled verdict never
-claims global harmonicity, hence the wording "harmonic-on-samples".
+g) or the solve (for ghat), in ``tension_identity_at`` too.  The jet pass
+names an entry that is not finite.  A sampled verdict never claims global
+harmonicity, hence the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
     _connection_at,
+    _screen,
     _solve,
     metric_jets_at,
 )
@@ -78,8 +79,8 @@ class SamplingExhausted(RuntimeError):
 
 
 class NonFiniteResidual(ValueError):
-    """A residual came out NaN or infinite at a sample point (components
-    overflowed there), so no verdict can be given."""
+    """A residual came out NaN or infinite at a sample point from finite
+    jets (the tension overflowed there), so no verdict can be given."""
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,18 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     Contract-first (see the module docstring):
     tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
     chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
-    inverse is never formed.  The jets come from ``metric._connection_at``,
-    which raises (on g first) at an entry that is not finite or a point
-    where |det| is not above 1e-12.
+    inverse is never formed.  Each metric is factored once, and a point
+    where |det| is not above 1e-12 raises ``MetricDegenerate`` (g first).
     """
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    G, _, dG, _, _ = _connection_at(g, flat, 1)
-    Gh, _, dGh, _, _ = _connection_at(ghat, flat, 1)
-    return _identity_tension(G, dG, Gh, dGh)[2].reshape(pt.shape)
+    G, dG, _ = metric_jets_at(g, flat, order=1)
+    Gh, dGh, _ = metric_jets_at(ghat, flat, order=1)
+    det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+    _screen(det, flat)
+    _screen(det_hat, flat)
+    return tau.reshape(pt.shape)
 
 
 def tension_map_at(
@@ -337,8 +340,10 @@ def _sampled_report(
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _require_same_chart(g, ghat)
     pts, tau, scanned, rejected = _collect_samples(g, ghat, domain, samples, seed)
     abs_r = np.abs(residual(tau))

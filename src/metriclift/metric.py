@@ -3,11 +3,11 @@
 A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
-exact jets of the components, outside the sampler by one routine,
-``_connection_at``, which checks the jets are finite and factors them by
-``_checked_inverse``; only :func:`metric_at` is unchecked.  The functions
-below accept a single point ``(m,)`` or a batch ``(N, m)`` and return
-correspondingly shaped arrays.
+exact jets, which every jet pass (:func:`metric_jets_at`) checks are
+finite, and outside the sampler by one routine, ``_connection_at``, which
+factors them by ``_checked_inverse``; only :func:`metric_at` is
+unchecked.  The functions below accept a single point ``(m,)`` or a
+batch ``(N, m)`` and return correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
 text.  Christoffel symbols are stored as ``gamma[..., k, i, j]`` and the
@@ -221,6 +221,7 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     contiguous rows, and ``np.moveaxis(A, 0, -1)`` recovers the
     contiguous array.  A point ``(m,)`` or any other batch shape is
     evaluated as its flattened list of points.
+    A non-finite entry raises :class:`exprlang.EvalDomainError` quoting it.
     """
     pt = _point_env(g, x)
     m = g.dim
@@ -232,6 +233,7 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
     G = np.empty((m, m, n))
     dG = np.zeros((m, m, m, n))
     d2G = np.zeros((m, m, m, m, n)) if order >= 2 else None
+    finite = True
     # an overflowing entry is reported as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(m):
@@ -243,16 +245,27 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
                 G[i, j] = G[j, i] = out.value
                 s = np.array(out.support)
                 dG[i, j, s] = dG[j, i, s] = out.grad.T
+                finite = finite and np.isfinite(out.grad).all()
                 if order >= 2:
                     hess = out.hess.transpose(1, 2, 0)
                     d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = hess
+                    finite = finite and np.isfinite(out.hess).all()
 
     def points_first(a):
         if a is None:
             return None
         return a.transpose(-1, *range(a.ndim - 1)).reshape(base + a.shape[:-1])
 
-    return points_first(G), points_first(dG), points_first(d2G)
+    G, dG, d2G = points_first(G), points_first(dG), points_first(d2G)
+    if finite and np.isfinite(G).all():
+        return G, dG, d2G
+    finite = np.isfinite(G) & np.isfinite(dG).all(axis=-1)
+    if d2G is not None:
+        finite &= np.isfinite(d2G).all(axis=(-2, -1))
+    n, i, j = np.argwhere(~finite.reshape(-1, m, m))[0]
+    pt = ", ".join(repr(float(v)) for v in flat[n])
+    msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
+    raise ex.EvalDomainError(msg, g.components[i][j])
 
 
 def _eliminate(A: np.ndarray, B: np.ndarray):
@@ -313,18 +326,21 @@ def _solve(A: np.ndarray, B: np.ndarray):
 
 
 def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
-    """Inverse of the matrices ``G`` at the points ``x`` by one
-    :func:`_solve`.  Raises :class:`MetricDegenerate` at the first point
-    where |det| is not above 1e-12 (NaN included): where the sampler
-    (``harmonic._collect_samples``) rejects a candidate."""
+    """Inverse of the matrices ``G`` at the points ``x`` by one :func:`_solve`,
+    screened by :func:`_screen` where the sampler rejects a candidate."""
     m = G.shape[-1]
     flat = G.reshape(-1, m, m)
     with np.errstate(all="ignore"):
         det, ginv = _solve(flat, np.broadcast_to(np.eye(m), flat.shape))
+    _screen(det, x)
+    return ginv.reshape(G.shape)
+
+
+def _screen(det: np.ndarray, x):
+    """:class:`MetricDegenerate` at the first point where |det| <= 1e-12 or NaN."""
     bad = np.flatnonzero(~(np.abs(det) > DEGENERACY_EPS))
     if bad.size:
-        raise MetricDegenerate(np.reshape(x, (-1, m))[bad[0]], det[bad[0]])
-    return ginv.reshape(G.shape)
+        raise MetricDegenerate(np.reshape(x, (det.size, -1))[bad[0]], det[bad[0]])
 
 
 def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
@@ -335,21 +351,10 @@ def inverse_metric_at(g: ChartedMetric, x) -> np.ndarray:
 
 def _connection_at(g: ChartedMetric, x, order: int):
     """``(G, ginv, dG, gamma, dgamma)`` at a point or batch ``x``, from one
-    :func:`metric_jets_at` pass of ``order`` 1 or 2 and one screened
+    checked :func:`metric_jets_at` pass of ``order`` 1 or 2 and one screened
     :func:`_checked_inverse`; ``dgamma[..., k, i, j, p] = d_p Gamma^k_ij``
-    is ``None`` at order 1.  An entry whose jet is not finite at a point
-    raises :class:`exprlang.EvalDomainError` quoting it, before factoring."""
+    is ``None`` at order 1."""
     G, dG, d2G = metric_jets_at(g, x, order)
-    m = g.dim
-    finite = np.isfinite(G) & np.isfinite(dG).all(axis=-1)
-    if d2G is not None:
-        finite &= np.isfinite(d2G).all(axis=(-2, -1))
-    bad = np.argwhere(~finite.reshape(-1, m, m))
-    if bad.size:
-        n, i, j = bad[0]
-        pt = ", ".join(repr(float(v)) for v in np.reshape(x, (-1, m))[n])
-        msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
-        raise ex.EvalDomainError(msg, g.components[i][j])
     ginv = _checked_inverse(G, x)
     # C[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij (first kind)
     di_gjl = np.einsum("...jli->...lij", dG)

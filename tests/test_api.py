@@ -55,6 +55,13 @@ def _calls(name: str):
     return match
 
 
+def _text(needle: str):
+    def match(node) -> bool:
+        return isinstance(node, ast.Constant) and needle in str(node.value)
+
+    return match
+
+
 def _uses_linalg(node) -> bool:
     if isinstance(node, ast.alias):  # import numpy.linalg, from numpy import linalg
         return "linalg" in node.name.split(".")
@@ -63,11 +70,15 @@ def _uses_linalg(node) -> bool:
 
 def test_one_route_to_the_jets_the_inverse_and_lapack():
     # g's inverse and connection come from metric._connection_at; only the
-    # sampler takes its jets on its own, for the tension kernel on jets
+    # sampler and the identity tension take their jets on their own, for
+    # the tension kernel on jets, which factors each metric once
     assert _owners(_calls("metric_jets_at")) == {
         "metric._connection_at",
         "harmonic._collect_samples",
+        "harmonic.tension_identity_at",
     }
+    # every jet pass checks its own jets are finite, and nothing else does
+    assert _owners(_text("or a derivative of it is not finite")) == {"metric.metric_jets_at"}
     assert _owners(_calls("_checked_inverse")) == {"metric._connection_at"}
     assert _owners(_calls("_solve")) == {
         "metric._checked_inverse",

@@ -265,24 +265,80 @@ class TestCheck:
     def test_overflow_in_entry_free_of_a_coordinate_is_non_finite(
         self, tmp_path, capsys, lift, component
     ):
+        def check(doc):
+            path = write_manifest(tmp_path, "m.json", {**doc, "samples": 64, "seed": 3})
+            code, out = run_cli(capsys, "check", "--manifest", path, "--lift", lift)
+            assert code == 2
+            return strict_json(out)["error"]
+
         # g11 overflows for x1 > 0.887 and does not depend on x2: its x2
-        # derivatives are exact zeros, never 0*inf, and the residual that
-        # the overflow makes non-finite is still reported.  The complete
-        # lift's residual is (0, 2 tau), so its first non-finite component
-        # is the first fiber one, m + 1 = 3.
-        doc = {
+        # derivatives are exact zeros, never 0*inf, and the jet pass of the
+        # sampler names the entry at a base point, under every lift
+        err = check({
             "coordinates": ["x1", "x2"],
             "metric": [["exp(800*x1)", "0"], ["0", "1 + x2^2"]],
             "hat_metric": [["2", "0"], ["0", "1 + x2^2"]],
-            "samples": 64,
-            "seed": 3,
-        }
-        path = write_manifest(tmp_path, "m.json", doc)
-        code, out = run_cli(capsys, "check", "--manifest", path, "--lift", lift)
-        assert code == 2
-        err = strict_json(out)["error"]
+        })
+        assert err["kind"] == "EvalDomainError"
+        head, point = err["message"].split(" not finite at (")
+        assert head == "metric entry (1,1) or a derivative of it is"
+        assert point.count(", ") == 1 and point.endswith(") in 'exp(800*x1)'")
+        # finite jets (det g = e^x1, det ghat = 1) whose tension overflows
+        # in the kernel, to -inf: the residual is reported as non-finite.
+        # The complete lift's residual is (0, 2 tau), so its first
+        # non-finite component is the first fiber one, m + 1 = 3.
+        err = check({
+            "coordinates": ["x1", "x2"],
+            "metric": [["1e-300*exp(x1)", "0"], ["0", "1e300"]],
+            "hat_metric": [["1e300", "0"], ["0", "1e-300"]],
+        })
         assert err["kind"] == "NonFiniteResidual"
         assert err["message"].startswith(f"residual component {component} is not finite")
+
+    def test_overflow_everywhere_is_named_in_the_lifted_chart(self, tmp_path, capsys):
+        # the lifted chart's entries are infinite, and A^T g A makes NaN of
+        # them: the entry is named, not counted as degenerate candidates
+        doc = {
+            "coordinates": ["x1", "x2"],
+            "metric": [["1e200*1e200 + x1^2", "0"], ["0", "1"]],
+            "hat_metric": [["1", "0"], ["0", "1"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "EvalDomainError"
+        assert err["message"].endswith(" in '1e+200*1e+200 + x1^2'")
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", "sasaki-tm")
+        assert code == 0
+        lifted = write_manifest(tmp_path, "lifted.json", json.loads(out))
+        code, out = run_cli(capsys, "check", "--manifest", lifted)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "EvalDomainError"
+        assert err["message"].startswith("metric entry (1,1) or a derivative of it is not finite")
+
+    @pytest.mark.parametrize(
+        "tol, flags, field",
+        [("1e400", [], "tol"), ("1e-9", ["--tol", "inf"], "tol"),
+         ("1e-9", ["--seed", "-1"], "seed")],
+        ids=["tol-literal", "tol-flag", "seed-flag"],
+    )
+    def test_infinite_tol_and_negative_seed_exit_two(
+        self, tmp_path, capsys, monkeypatch, tol, flags, field
+    ):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice_points reached")
+
+        monkeypatch.setattr(harmonic, "lattice_points", no_lattice)
+        # json.loads reads the literal 1e400 as inf
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(egorov_manifest(tol="TOL")).replace('"TOL"', tol))
+        code, out = run_cli(capsys, "check", "--manifest", str(path), *flags)
+        assert code == 2
+        err = strict_json(out)["error"]
+        assert err["kind"] == "ValueError"
+        assert err["message"].startswith(f"{field} must be ")
 
     def test_infinite_sample_count_exits_two(self, tmp_path, capsys):
         # int(inf) raises OverflowError, not ValueError

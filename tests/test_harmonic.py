@@ -9,7 +9,7 @@ from metriclift import (
     egorov_residual_closed_form,
     godel_metric,
 )
-from metriclift import harmonic
+from metriclift import harmonic, metric
 from metriclift.harmonic import (
     MAX_SAMPLES,
     SamplingExhausted,
@@ -74,6 +74,23 @@ class TestTensionIdentity:
         assert np.allclose(forward, -swapped_diff_only, atol=1e-15)
         # ...but the true swap also changes the contracting inverse
         assert not np.allclose(backward, -forward)
+
+    def test_factors_each_metric_once(self, monkeypatch):
+        # the determinants of the tension kernel's own factorizations are
+        # the degeneracy screen: no second factorization per metric
+        calls, solve = [], metric._solve
+
+        def spy(A, B):
+            calls.append((A.shape, B.shape))
+            return solve(A, B)
+
+        monkeypatch.setattr(metric, "_solve", spy)
+        monkeypatch.setattr(harmonic, "_solve", spy)
+        g = egorov_metric(EgorovSpec(3, "exp(x3)"))
+        ghat = egorov_metric(EgorovSpec(3, "exp(x3)+1"))
+        tau = tension_identity_at(g, ghat, domain_points(g, 5))
+        assert calls == [((5, 3, 3), (5, 3, 3)), ((5, 3, 3), (5, 3, 1))]
+        assert tau.shape == (5, 3) and np.isfinite(tau).all()
 
     def test_dimension_mismatch(self):
         g3 = egorov_metric(EgorovSpec(3, "exp(x3)"))
@@ -198,12 +215,19 @@ class TestCheckHarmonic:
         b = check_harmonic(g, ghat, samples=16, seed=2)
         assert a.worst_point != b.worst_point
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, monkeypatch):
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("lattice_points reached")
+
+        monkeypatch.setattr(harmonic, "lattice_points", no_lattice)
         g = egorov_metric(EgorovSpec(3, "exp(x3)"))
         with pytest.raises(ValueError):
             check_harmonic(g, g, samples=0)
-        with pytest.raises(ValueError):
-            check_harmonic(g, g, tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^tol must be positive and finite"):
+                check_harmonic(g, g, tol=tol)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            check_harmonic(g, g, seed=-1)
 
     @pytest.mark.parametrize(
         "check",

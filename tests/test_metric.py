@@ -267,6 +267,25 @@ def test_non_finite_entry_is_named(name):
     )
 
 
+@pytest.mark.parametrize("order, x1", [(1, 1.01), (2, 1.0)], ids=["gradient", "hessian"])
+def test_non_finite_derivative_of_a_finite_entry_is_named(order, x1):
+    # exp(700*x1) is finite at both points; at 1.01 its gradient overflows,
+    # at 1.0 only its Hessian, which an order-1 pass does not form
+    g = ChartedMetric.from_strings(
+        ["x1", "x2"], [["exp(700*x1)", "0"], ["0", "1"]], [(-2, 2), (-1, 1)]
+    )
+    x = [[0.0, 0.0], [x1, 0.5]]
+    assert np.isfinite(metric_at(g, x)).all()
+    with pytest.raises(ex.EvalDomainError) as exc:
+        metric_jets_at(g, x, order)
+    assert str(exc.value) == (
+        f"metric entry (1,1) or a derivative of it is not finite at ({x1!r}, 0.5) "
+        "in 'exp(700*x1)'"
+    )
+    if order == 2:
+        assert np.isfinite(metric_jets_at(g, x, 1)[1]).all()
+
+
 @pytest.mark.parametrize("name", CONNECTION_CONSUMERS)
 def test_finite_singular_metric_is_degenerate(name):
     with pytest.raises(MetricDegenerate) as exc:
