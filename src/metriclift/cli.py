@@ -47,7 +47,7 @@ from .gallery import (
     godel_metric,
     walker_metric,
 )
-from .harmonic import SamplingExhausted, check_harmonic
+from .harmonic import SamplingExhausted, _check_sampling, check_harmonic
 from .lifts import LiftKind, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
@@ -291,11 +291,14 @@ def _lift_kind(name: str) -> LiftKind | None:
         ) from None
 
 
+def _sampling(manifest: dict, args) -> tuple[int, float, int]:
+    get = functools.partial(_merged, manifest, args)
+    return _integer(get("samples"), "samples"), float(get("tol")), _integer(get("seed"), "seed")
+
+
 def cmd_check(manifest: dict, args) -> tuple[int, str]:
     g, ghat = build_metrics(manifest, need_hat=True)
-    samples = _integer(_merged(manifest, args, "samples"), "samples")
-    tol = float(_merged(manifest, args, "tol"))
-    seed = _integer(_merged(manifest, args, "seed"), "seed")
+    samples, tol, seed = _sampling(manifest, args)
     lift = _lift_kind(str(_merged(manifest, args, "lift")))
     if lift is None:
         report = check_harmonic(g, ghat, samples=samples, tol=tol, seed=seed)
@@ -342,6 +345,7 @@ def cmd_lift(manifest: dict, args) -> tuple[int, str]:
     # the check flags override the manifest's fields, as in ``check``
     flags = {key: getattr(args, key) for key in ("samples", "tol", "seed")}
     manifest = {**manifest, **{k: v for k, v in flags.items() if v is not None}}
+    _check_sampling(*_sampling(manifest, args))
     kind = _lift_kind(str(_merged(manifest, args, "lift")))
     if kind is None:
         return 0, _dump({**manifest, "lift": "none"})

@@ -22,7 +22,8 @@ g's inverse,
 
 which costs O(m^3) per point: g's inverse and one linear solve against
 ghat with a single right-hand side.  The second form keeps the tension
-of a metric against itself exactly zero.
+of a metric against itself exactly zero.  c and chat are summed from
+the rows d_i g_ab of each entry a <= b over its support only.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
@@ -46,10 +47,10 @@ from .jets import Jet2, as_jet2
 from .metric import (
     DEGENERACY_EPS,
     ChartedMetric,
+    _component_jets,
     _connection_at,
     _screen,
     _solve,
-    metric_jets_at,
 )
 
 __all__ = [
@@ -146,28 +147,51 @@ def _require_same_chart(g: ChartedMetric, ghat: ChartedMetric):
         )
 
 
-def _contracted_christoffel(ginv: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """c_l = g^{ij} C_{lij} = 2 g^{ij} d_i g_jl - g^{ij} d_l g_ij, where
-    ``dG[..., i, j, k] = d_k g_ij`` may belong to another metric than
-    ``ginv``."""
-    return 2.0 * np.einsum("...ij,...jli->...l", ginv, dG) - np.einsum(
-        "...ij,...ijl->...l", ginv, dG
-    )
+def _term_slots(abi: np.ndarray, m: int):
+    """``(pq, row, w)``, each ``(S, m)``: the s-th term of c_l, in row order
+    (see :func:`_contracted_christoffel`), reads entry ``pq[s, l]`` of the
+    flat g^{-1} and row ``row[s, l]`` of the support rows indexed by
+    ``abi``, with weight ``w[s, l]``; a last, zero term pads a short c_l."""
+    a, b, i = abi.T
+    off, t = (a != b).nonzero()[0], np.arange(a.size)
+    target = np.concatenate((b, a[off], i))
+    pq = np.concatenate((i * m + a, (i * m + b)[off], a * m + b, [0]))
+    row = np.concatenate((t, off, t, [0]))
+    w = np.concatenate((np.full(t.size + off.size, 2.0), -1.0 - (a != b), [0.0]))
+    order = target.argsort(kind="stable")
+    ts = target[order]
+    rank = np.arange(ts.size) - ts.searchsorted(ts)
+    slots = np.full((rank.max(initial=-1) + 1, m), -1)
+    slots[rank, ts] = order
+    return pq[slots], row[slots], w[slots]
+
+
+def _contracted_christoffel(ginv: np.ndarray, r: np.ndarray, pq, row, w) -> np.ndarray:
+    """c_l = g^{ij} C_{lij} = 2 g^{ij} d_i g_jl - g^{ij} d_l g_ij, ``(m, N)``,
+    from ``ginv`` ``(m, m, N)`` and the support rows ``r`` of any metric: a
+    row r = d_i g_ab adds 2 g^{ia} r to c_b, 2 g^{ib} r to c_a if a != b,
+    and -w g^{ab} r to c_i, w = 2 if a != b else 1, at its slots
+    (:func:`_term_slots`), summed one at a time along the samples."""
+    terms = ginv.reshape(-1, ginv.shape[-1])[pq]
+    terms *= r[row]
+    terms *= w[..., None]
+    return terms.sum(axis=0)
 
 
 def _identity_tension(G, dG, Gh, dGh):
-    """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets
-    of g and ghat at a batch of ``N`` points: ``metric._solve`` for det g
-    and g's inverse, and for det ghat and the solve (see the module
-    docstring).  On points-last jets the contractions run along
-    contiguous sample rows.  Where either det is not above 1e-12 tau is
-    meaningless; the caller screens on the dets.
-    """
+    """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets of
+    g and ghat at ``N`` points, as ``metric._component_jets`` gives them, by
+    one ``metric._solve`` per metric (see the module docstring).  Where
+    either det is not above 1e-12 tau is meaningless; the caller screens."""
+    G, Gh = G.transpose(2, 0, 1), Gh.transpose(2, 0, 1)
     eye = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
     with np.errstate(all="ignore"):
         det, ginv = _solve(G, eye)
-        c = _contracted_christoffel(ginv, dG)
-        c_hat = _contracted_christoffel(ginv, dGh)
+        slots = _term_slots(dG[0], G.shape[-1])
+        c = _contracted_christoffel(ginv.transpose(1, 2, 0), dG[1], *slots).T
+        if not np.array_equal(dGh[0], dG[0]):  # else ghat's terms lie alike
+            slots = _term_slots(dGh[0], G.shape[-1])
+        c_hat = _contracted_christoffel(ginv.transpose(1, 2, 0), dGh[1], *slots).T
         v = np.einsum("...kl,...l->...k", ginv, c)
         rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
         det_hat, sol = _solve(Gh, rhs[..., None])
@@ -187,8 +211,8 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    G, dG, _ = metric_jets_at(g, flat, order=1)
-    Gh, dGh, _ = metric_jets_at(ghat, flat, order=1)
+    G, dG, _ = _component_jets(g, flat, order=1)
+    Gh, dGh, _ = _component_jets(ghat, flat, order=1)
     det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
     _screen(det, flat)
     _screen(det_hat, flat)
@@ -285,8 +309,8 @@ def _collect_samples(
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
     most 10x candidates, with the identity tension there.
 
-    Each candidate batch takes one order-1 :func:`metric_jets_at` pass per
-    metric for :func:`_identity_tension`: the screen |det| > 1e-12 reads
+    Each candidate batch takes one order-1 ``metric._component_jets`` pass
+    per metric for :func:`_identity_tension`: the screen |det| > 1e-12 reads
     the determinants of the factorizations that give the tension, so no
     metric is evaluated twice at a point.
     When the whole batch is kept its arrays are returned as they are.
@@ -304,8 +328,8 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        G, dG, _ = metric_jets_at(g, cand[:, :m], order=1)
-        Gh, dGh, _ = metric_jets_at(ghat, cand[:, :m], order=1)
+        G, dG, _ = _component_jets(g, cand[:, :m], order=1)
+        Gh, dGh, _ = _component_jets(ghat, cand[:, :m], order=1)
         det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
         ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
@@ -328,14 +352,8 @@ def _collect_samples(
     return pts, tau, scanned, rejected
 
 
-def _sampled_report(
-    g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
-) -> HarmonicityReport:
-    """Shared core of the sampled checks: ``residual(tau)`` maps the
-    identity tension at the kept points ``(N, d)`` (see
-    :func:`_collect_samples`) to residuals ``(N, c)``; the report gives the
-    worst absolute residual (first sample on ties) and the per-component
-    maxima."""
+def _check_sampling(samples, tol, seed):
+    """``ValueError`` naming the first bad setting of a sampled check."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if samples > MAX_SAMPLES:
@@ -344,6 +362,17 @@ def _sampled_report(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _sampled_report(
+    g: ChartedMetric, ghat: ChartedMetric, domain, residual, samples, tol, seed
+) -> HarmonicityReport:
+    """Shared core of the sampled checks: ``residual(tau)`` maps the
+    identity tension at the kept points ``(N, d)`` (see
+    :func:`_collect_samples`) to residuals ``(N, c)``; the report gives the
+    worst absolute residual and the per-component maxima; rounding alone
+    picks the worst point where the residual is constant (Egorov fhat = c f)."""
+    _check_sampling(samples, tol, seed)
     _require_same_chart(g, ghat)
     pts, tau, scanned, rejected = _collect_samples(g, ghat, domain, samples, seed)
     abs_r = np.abs(residual(tau))

@@ -3,10 +3,11 @@
 A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
-exact jets, which every jet pass (:func:`metric_jets_at`) checks are
-finite, and outside the sampler by one routine, ``_connection_at``, which
-factors them by ``_checked_inverse``; only :func:`metric_at` is
-unchecked.  The functions below accept a single point ``(m,)`` or a
+exact jets, which every jet pass (``_component_jets``) checks are finite
+and keeps on each entry's support: the sampler contracts those rows, and
+:func:`metric_jets_at` scatters them for ``_connection_at``, which factors
+them by ``_checked_inverse`` for every other caller; only :func:`metric_at`
+is unchecked.  The functions below accept a single point ``(m,)`` or a
 batch ``(N, m)`` and return correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
@@ -205,34 +206,19 @@ def metric_at(g: ChartedMetric, x) -> np.ndarray:
     return out
 
 
-def metric_jets_at(g: ChartedMetric, x, order: int = 2):
-    """Values and derivatives of all components in one pass.
-
-    Returns ``(G, dG, d2G)`` with ``dG[..., i, j, k] = d_k g_ij`` and
-    ``d2G[..., i, j, k, l] = d_k d_l g_ij`` (``d2G`` is ``None`` for
-    ``order=1``).  Shared subtrees across components are evaluated once.
-    Each component is differentiated only in the coordinates it depends
-    on (its jet's support); its other derivatives stay exact zeros.
-
-    The arrays are stored points-last: for a batch ``x`` of shape
-    ``(N, m)``, ``G``, ``dG`` and ``d2G`` are ``(N, ...)`` views of
-    C-contiguous ``(m, m, N)``, ``(m, m, m, N)`` and ``(m, m, m, m, N)``
-    arrays, so each component's value and derivatives are written as
-    contiguous rows, and ``np.moveaxis(A, 0, -1)`` recovers the
-    contiguous array.  A point ``(m,)`` or any other batch shape is
-    evaluated as its flattened list of points.
-    A non-finite entry raises :class:`exprlang.EvalDomainError` quoting it.
-    """
-    pt = _point_env(g, x)
-    m = g.dim
-    base = pt.shape[:-1]
-    flat = pt.reshape(-1, m)
-    n = flat.shape[0]
+def _component_jets(g: ChartedMetric, x, order: int):
+    """``(G, (abi, rows), jets)`` at the N points of ``x`` in one pass: ``G``
+    ``(m, m, N)``, and ``rows[t] = d_i g_ab`` for ``abi[t] = (a, b, i)``,
+    one per coordinate i of the support of each non-constant entry a <= b,
+    whose ``(a, b, Jet2)`` ``jets`` lists at ``order=2`` (else ``None``).
+    A non-finite value or derivative raises :class:`exprlang.EvalDomainError`
+    quoting the entry, at the first such point, then the first such entry."""
+    flat = _point_env(g, x).reshape(-1, g.dim)
+    m, n = g.dim, flat.shape[0]
     env = [Jet2.coordinate(flat[:, i], i, order) for i in range(m)]
     memo: dict = {}
     G = np.empty((m, m, n))
-    dG = np.zeros((m, m, m, n))
-    d2G = np.zeros((m, m, m, m, n)) if order >= 2 else None
+    jets = []
     finite = True
     # an overflowing entry is reported as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,29 +229,50 @@ def metric_jets_at(g: ChartedMetric, x, order: int = 2):
                     G[i, j] = G[j, i] = out
                     continue
                 G[i, j] = G[j, i] = out.value
-                s = np.array(out.support)
-                dG[i, j, s] = dG[j, i, s] = out.grad.T
+                jets.append((i, j, out))
                 finite = finite and np.isfinite(out.grad).all()
                 if order >= 2:
-                    hess = out.hess.transpose(1, 2, 0)
-                    d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = hess
                     finite = finite and np.isfinite(out.hess).all()
+    del memo  # the subtrees' jets, before the rows are copied out
+    if not (finite and np.isfinite(G).all()):
+        ok = np.isfinite(G)  # a bad derivative marks its upper entry only
+        for i, j, out in jets:
+            ok[i, j] &= np.isfinite(out.grad).all(axis=-1)
+            if order >= 2:
+                ok[i, j] &= np.isfinite(out.hess).all(axis=(-2, -1))
+        n, i, j = np.argwhere(~ok.transpose(2, 0, 1))[0]
+        pt = ", ".join(repr(float(v)) for v in flat[n])
+        msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
+        raise ex.EvalDomainError(msg, g.components[i][j])
+    abi = np.array([(i, j, k) for i, j, out in jets for k in out.support], dtype=np.intp)
+    rows = np.concatenate([out.grad.T for *_, out in jets] + [np.empty((0, n))])
+    return G, (abi.reshape(-1, 3), rows), jets if order >= 2 else None
 
-    def points_first(a):
-        if a is None:
-            return None
-        return a.transpose(-1, *range(a.ndim - 1)).reshape(base + a.shape[:-1])
 
-    G, dG, d2G = points_first(G), points_first(dG), points_first(d2G)
-    if finite and np.isfinite(G).all():
-        return G, dG, d2G
-    finite = np.isfinite(G) & np.isfinite(dG).all(axis=-1)
-    if d2G is not None:
-        finite &= np.isfinite(d2G).all(axis=(-2, -1))
-    n, i, j = np.argwhere(~finite.reshape(-1, m, m))[0]
-    pt = ", ".join(repr(float(v)) for v in flat[n])
-    msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
-    raise ex.EvalDomainError(msg, g.components[i][j])
+def metric_jets_at(g: ChartedMetric, x, order: int = 2):
+    """Values and derivatives of all components in one pass.
+
+    Returns ``(G, dG, d2G)`` with ``dG[..., i, j, k] = d_k g_ij`` and
+    ``d2G[..., i, j, k, l] = d_k d_l g_ij`` (``d2G`` is ``None`` for
+    ``order=1``): the derivatives of ``_component_jets`` on each entry's
+    support, among exact zeros.  They are stored points-last: for a batch
+    ``x`` of shape ``(N, m)``, ``G``, ``dG`` and ``d2G`` are ``(N, ...)``
+    views of C-contiguous ``(m, m, N)``, ``(m, m, m, N)`` and
+    ``(m, m, m, m, N)`` arrays (``np.moveaxis(A, 0, -1)`` recovers one).
+    A non-finite entry raises :class:`exprlang.EvalDomainError` quoting it.
+    """
+    G, (abi, rows), jets = _component_jets(g, x, order)
+    (a, b, k), (m, n) = abi.T, G.shape[1:]
+    dG = np.zeros((m, m, m, n))
+    dG[a, b, k] = dG[b, a, k] = rows
+    d2G = None if order < 2 else np.zeros((m, m, m, m, n))
+    for i, j, out in jets or ():
+        s = np.array(out.support)
+        d2G[i, j, s[:, None], s] = d2G[j, i, s[:, None], s] = out.hess.transpose(1, 2, 0)
+    return tuple(
+        None if A is None else np.moveaxis(A, -1, 0).reshape(np.shape(x)[:-1] + A.shape[:-1])
+        for A in (G, dG, d2G)
+    )
 
 
 def _eliminate(A: np.ndarray, B: np.ndarray):

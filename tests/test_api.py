@@ -68,17 +68,30 @@ def _uses_linalg(node) -> bool:
     return getattr(node, "attr", None) == "linalg" or getattr(node, "id", None) == "linalg"
 
 
+def _uses_blas(node) -> bool:
+    if isinstance(node, ast.MatMult):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    if name == "einsum":
+        return any(kw.arg == "optimize" for kw in node.keywords)
+    return name in ("dot", "vdot", "inner", "matmul", "tensordot")
+
+
 def test_one_route_to_the_jets_the_inverse_and_lapack():
     # g's inverse and connection come from metric._connection_at; only the
-    # sampler and the identity tension take their jets on their own, for
-    # the tension kernel on jets, which factors each metric once
-    assert _owners(_calls("metric_jets_at")) == {
-        "metric._connection_at",
+    # sampler and the identity tension take their jets on their own, from
+    # the component pass, as support rows for the tension kernel on jets,
+    # which factors each metric once: neither builds the dense first jets
+    assert _owners(_calls("metric_jets_at")) == {"metric._connection_at"}
+    assert _owners(_calls("_component_jets")) == {
+        "metric.metric_jets_at",
         "harmonic._collect_samples",
         "harmonic.tension_identity_at",
     }
     # every jet pass checks its own jets are finite, and nothing else does
-    assert _owners(_text("or a derivative of it is not finite")) == {"metric.metric_jets_at"}
+    assert _owners(_text("or a derivative of it is not finite")) == {"metric._component_jets"}
     assert _owners(_calls("_checked_inverse")) == {"metric._connection_at"}
     assert _owners(_calls("_solve")) == {
         "metric._checked_inverse",
@@ -89,3 +102,8 @@ def test_one_route_to_the_jets_the_inverse_and_lapack():
         "lifts.connection_in_frame",
         "lifts.components_in_adapted_frame",
     }
+    # BLAS may block a product differently for different batch sizes: the
+    # tension kernel sums elementwise along the samples instead, so a
+    # point's tension is the same in the sampler's batches and in
+    # tension_identity_at's
+    assert _owners(_uses_blas) == {"lifts._lift_blocks"}

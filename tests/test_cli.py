@@ -457,6 +457,29 @@ class TestLift:
         report = json.loads(report)
         assert (report["samples_used"], report["seed"], report["tolerance"]) == (8, 7, 1e-3)
 
+    @pytest.mark.parametrize(
+        "tol, flags, field",
+        [("1e400", [], "tol"), ("1e-9", ["--tol", "inf"], "tol"),
+         ("1e-9", ["--seed", "-1"], "seed"), ("1e-9", ["--samples", "0"], "samples")],
+        ids=["tol-literal", "tol-flag", "seed-flag", "samples-flag"],
+    )
+    @pytest.mark.parametrize("lift", ["none", "complete-tm"])
+    def test_lift_refuses_the_check_settings_check_refuses(
+        self, tmp_path, capsys, tol, flags, field, lift
+    ):
+        # lift copies these settings into its manifest: it exits 2 naming
+        # the field, as the check of that manifest would, instead of
+        # emitting it (or failing to print an infinite tol)
+        path = tmp_path / "m.json"
+        doc = egorov_manifest(lift=lift, tol="TOL")
+        path.write_text(json.dumps(doc).replace('"TOL"', tol))
+        for command in ("lift", "check"):
+            code, out = run_cli(capsys, command, "--manifest", str(path), *flags)
+            assert code == 2, command
+            err = strict_json(out)["error"]
+            assert err["kind"] == "ValueError"
+            assert err["message"].startswith(f"{field} must be "), command
+
     def test_complete_lift_emits_expected_entries(self, tmp_path, capsys):
         path = write_manifest(tmp_path, "m.json", egorov_manifest(lift="complete-tm"))
         code, out = run_cli(capsys, "lift", "--manifest", path)

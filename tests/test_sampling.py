@@ -10,6 +10,7 @@ pass and a det screen, then the residual functions on the kept points.
 
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,7 @@ from metriclift.harmonic import (
 )
 from metriclift.lifts import LiftKind, check_lift_conditions
 from metriclift.metric import DEGENERACY_EPS, ChartedMetric, metric_at
-from conftest import NON_HARMONIC_PAIRS
+from conftest import NON_HARMONIC_PAIRS, dense_metric
 
 # det of both metrics falls to 1e-12 and below on the band |x1| <= 10^-1.5
 # (about 0.032), a sixth of the box
@@ -45,7 +46,7 @@ BANDED = (
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of ``metric_jets_at`` calls per metric and jet order, of
+    """Counts of component-pass calls per metric and jet order, of
     ``metric_at`` calls per metric, and of candidate batches, wherever the
     package binds those names."""
     calls = Counter()
@@ -70,7 +71,7 @@ def counted(monkeypatch):
         return wrapped
 
     wrappers = {
-        id(metric.metric_jets_at): counter("jets", metric.metric_jets_at, "order"),
+        id(metric._component_jets): counter("jets", metric._component_jets, "order"),
         id(metric.metric_at): counter("values", metric.metric_at),
         id(harmonic.lattice_points): batches(harmonic.lattice_points),
     }
@@ -145,10 +146,12 @@ def _report(pts, residual, scanned, rejected, seed):
     )
 
 
-# 16 samples miss the band in their first batch; 21 and 64 need a second
-# candidate batch.  A batch that rejects any candidate is always followed
-# by another, as each holds ``samples`` candidates.
-@pytest.mark.parametrize("samples, batches", [(16, 1), (21, 2), (64, 2)])
+# 16 samples miss the band in their first batch; 21, 64 and 300 need a
+# second candidate batch.  A batch that rejects any candidate is always
+# followed by another, as each holds ``samples`` candidates.  300 samples
+# are factored by the vectorised elimination, the others by LAPACK
+# (``metric.ELIMINATION_MIN_POINTS``).
+@pytest.mark.parametrize("samples, batches", [(16, 1), (21, 2), (64, 2), (300, 2)])
 def test_rejecting_batches_match_screen_then_residual(samples, batches):
     g, ghat = BANDED
     seed, m = 3, g.dim
@@ -167,3 +170,17 @@ def test_rejecting_batches_match_screen_then_residual(samples, batches):
         placed = (zero, 2.0 * tau) if kind is LiftKind.COMPLETE_TM else (tau, zero)
         want = _report(pts, np.concatenate(placed, -1), scanned, rejected, seed)
         assert check_lift_conditions(g, ghat, kind, samples=samples, seed=seed) == want, kind
+
+
+def test_dense_m16_check_holds_no_dense_first_jets():
+    # the sampler contracts each entry's derivative rows over its support:
+    # no (m, m, m, N) first-jet array, which alone is 134 MB here
+    g, ghat = dense_metric(16), dense_metric(16, amp=0.17)
+    tracemalloc.start()
+    try:
+        rep = check_harmonic(g, ghat, samples=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.samples_used == 4096
+    assert peak < 128e6
