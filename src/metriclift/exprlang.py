@@ -146,13 +146,14 @@ def _children(e: ExprAst) -> tuple:
     return ()
 
 
-def _postorder(root: ExprAst, done) -> list:
-    """The nodes under ``root`` whose ids are not in ``done``, each once,
-    children before parents and left before right.  Every walk over a DAG
-    is a loop over this list, so no nesting is too deep for them."""
+def _postorder(roots: Sequence, done) -> list:
+    """The nodes under ``roots`` whose ids are not in ``done``, each once,
+    children before parents, left before right and earlier roots first.
+    Every walk over a DAG is a loop over this list, so no nesting is too
+    deep for them."""
     order: list = []
     seen: set = set()
-    stack = [root]
+    stack = list(reversed(roots))
     push, pop = stack.append, stack.pop
     while stack:
         node = pop()
@@ -333,8 +334,8 @@ def parse_expression(
 ) -> ExprAst:
     """Parse ``source`` over the declared ``symbols`` (order fixes indices).
 
-    Structurally identical subtrees come back as one shared node, so the
-    identity-keyed memos of :func:`evaluate` and :func:`to_source` see
+    Structurally identical subtrees come back as one shared node, so
+    :func:`evaluate` and the identity-keyed memo of :func:`to_source` see
     each of them once.  ``table`` holds the nodes built so far; pass one
     dict when parsing a family of related sources over the same
     ``symbols`` to share subtrees between them too.  ``names`` maps
@@ -450,7 +451,7 @@ def to_source(e: ExprAst, memo: dict | None = None, limit: int | None = None) ->
     its expansion is."""
     if memo is None:
         memo = {}
-    _render(_postorder(e, memo), memo, None if limit is None else limit + 1)
+    _render(_postorder([e], memo), memo, None if limit is None else limit + 1)
     text = memo[id(e)][0]
     if limit is not None and len(text) > limit:
         text = text[:limit] + "..."
@@ -469,16 +470,13 @@ def to_shared_sources(
     them back into the nodes of the expanded text.  Names are ``t1, t2,
     ...``, with the prefix lengthened until no name can equal one of
     ``reserved`` or a function name."""
-    refs: dict = {}  # parent-child edges (and root slots) into each node
-    nodes: list = []
+    nodes = _postorder(roots, ())
+    refs = dict.fromkeys(map(id, nodes), 0)  # parent-child edges and root slots
+    for node in nodes:
+        for kid in _children(node):
+            refs[id(kid)] += 1
     for root in roots:
-        fresh = _postorder(root, refs)
-        for node in fresh:
-            refs[id(node)] = 0
-            for kid in _children(node):
-                refs[id(kid)] += 1
         refs[id(root)] += 1
-        nodes += fresh
     prefix = "t"
     taken = set(reserved) | FUNCTIONS
     while any(re.fullmatch(prefix + r"\d+", name) for name in taken):
@@ -612,7 +610,7 @@ def differentiate(e: ExprAst, index: int, memo: dict | None = None) -> ExprAst:
     trees.  It holds ``memo[index][id(node)] = (node, derivative)``: the
     node is kept with its derivative so that its id stays taken."""
     done = ({} if memo is None else memo).setdefault(index, {})
-    for node in _postorder(e, done):
+    for node in _postorder([e], done):
         t = type(node)
         if t is Binary:
             a, b = node.left, node.right
@@ -713,15 +711,31 @@ def _general_power(base, expo, node: ExprAst):
     return _apply_fn("exp", expo * _apply_fn("log", base, node), node)
 
 
-def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
-    """Evaluate over operands supporting arithmetic (floats, arrays or
-    jets).  ``memo`` (by node identity) lets shared subtrees of assembled
-    expressions be computed once; pass one dict when evaluating a family
-    of related trees."""
-    if memo is None:
-        memo = {}
+def evaluate(expr, env):
+    """Evaluate ``expr``, a tree or a sequence of trees, over operands
+    supporting arithmetic (floats, arrays or jets): its value, or the list
+    of their values.  The trees are walked once, in order, each shared
+    node computed once, and every intermediate value is dropped as soon as
+    the last node that reads it has run, so a batch walk holds only the
+    values still to be read and the trees' own."""
+    roots = [expr] if isinstance(expr, _Node) else list(expr)
+    order = _postorder(roots, ())
+    # free[pos]: the ids of the nodes last read by order[pos], found in one
+    # pass from the end; the roots are returned, so never freed
+    kept = set(map(id, roots))
+    free: list = []
+    for node in reversed(order):
+        dead = []
+        for kid in _children(node):
+            key = id(kid)
+            if key not in kept:
+                kept.add(key)
+                dead.append(key)
+        free.append(dead)
+    free.reverse()
+    memo: dict = {}
     try:
-        for node in _postorder(expr, memo):
+        for node, dead in zip(order, free):
             t = type(node)
             if t is Binary:
                 op = node.op
@@ -755,9 +769,13 @@ def evaluate(expr: ExprAst, env: Sequence, memo: dict | None = None):
             else:
                 r = _apply_fn(node.fn, memo[id(node.arg)], node)
             memo[id(node)] = r
+            for key in dead:
+                del memo[key]
     except JetDomainError as err:  # pragma: no cover - defensive
-        raise EvalDomainError(str(err), expr) from err
-    return memo[id(expr)]
+        raise EvalDomainError(str(err), node) from err
+    if isinstance(expr, _Node):
+        return memo[id(expr)]
+    return [memo[id(r)] for r in roots]
 
 
 def eval_value(expr: ExprAst, point) -> float:

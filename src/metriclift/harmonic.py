@@ -23,7 +23,10 @@ g's inverse,
 which costs O(m^3) per point: g's inverse and one linear solve against
 ghat with a single right-hand side.  The second form keeps the tension
 of a metric against itself exactly zero.  c and chat are summed from
-the rows d_i g_ab of each entry a <= b over its support only.
+the rows d_i g_ab of each entry a <= b over its support only, one term
+at a time, and g^{-1} c and (ghat - g) v one column at a time, each
+elementwise along the samples: no array larger than g's inverse is
+formed, and a point's tau is the same whatever batch it is in.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
@@ -171,11 +174,28 @@ def _contracted_christoffel(ginv: np.ndarray, r: np.ndarray, pq, row, w) -> np.n
     from ``ginv`` ``(m, m, N)`` and the support rows ``r`` of any metric: a
     row r = d_i g_ab adds 2 g^{ia} r to c_b, 2 g^{ib} r to c_a if a != b,
     and -w g^{ab} r to c_i, w = 2 if a != b else 1, at its slots
-    (:func:`_term_slots`), summed one at a time along the samples."""
-    terms = ginv.reshape(-1, ginv.shape[-1])[pq]
-    terms *= r[row]
-    terms *= w[..., None]
-    return terms.sum(axis=0)
+    (:func:`_term_slots`).  The slots are added one at a time into c,
+    elementwise along the samples, the order in which numpy's axis-0 sum
+    of the whole ``(S, m, N)`` term stack would add them, without forming
+    it; no slots give zeros."""
+    flat = ginv.reshape(-1, ginv.shape[-1])
+    c = np.zeros((pq.shape[1], flat.shape[1]))
+    for p, q, u in zip(pq, row, w[..., None]):
+        t = flat.take(p, axis=0)
+        t *= r.take(q, axis=0)
+        t *= u
+        c += t
+    return c
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_l A[k, l] v[l], ``(m, N)``, for ``A`` ``(m, m, N)`` and ``v``
+    ``(m, N)``, added in order of l along the samples, so that a point's
+    result does not depend on the batch it is in."""
+    out = np.zeros(v.shape)
+    for l in range(v.shape[0]):
+        out += A[:, l] * v[l]
+    return out
 
 
 def _identity_tension(G, dG, Gh, dGh):
@@ -183,18 +203,18 @@ def _identity_tension(G, dG, Gh, dGh):
     g and ghat at ``N`` points, as ``metric._component_jets`` gives them, by
     one ``metric._solve`` per metric (see the module docstring).  Where
     either det is not above 1e-12 tau is meaningless; the caller screens."""
-    G, Gh = G.transpose(2, 0, 1), Gh.transpose(2, 0, 1)
-    eye = np.broadcast_to(np.eye(G.shape[-1]), G.shape)
+    m = G.shape[0]
+    eye = np.broadcast_to(np.eye(m), (G.shape[-1], m, m))
     with np.errstate(all="ignore"):
-        det, ginv = _solve(G, eye)
-        slots = _term_slots(dG[0], G.shape[-1])
-        c = _contracted_christoffel(ginv.transpose(1, 2, 0), dG[1], *slots).T
+        det, ginv = _solve(G.transpose(2, 0, 1), eye)
+        ginv = ginv.transpose(1, 2, 0)
+        slots = _term_slots(dG[0], m)
+        c = _contracted_christoffel(ginv, dG[1], *slots)
         if not np.array_equal(dGh[0], dG[0]):  # else ghat's terms lie alike
-            slots = _term_slots(dGh[0], G.shape[-1])
-        c_hat = _contracted_christoffel(ginv.transpose(1, 2, 0), dGh[1], *slots).T
-        v = np.einsum("...kl,...l->...k", ginv, c)
-        rhs = (c_hat - c) - np.einsum("...kl,...l->...k", Gh - G, v)
-        det_hat, sol = _solve(Gh, rhs[..., None])
+            slots = _term_slots(dGh[0], m)
+        c_hat = _contracted_christoffel(ginv, dGh[1], *slots)
+        rhs = (c_hat - c) - _matvec(Gh - G, _matvec(ginv, c))
+        det_hat, sol = _solve(Gh.transpose(2, 0, 1), rhs.T[..., None])
     return det, det_hat, 0.5 * sol[..., 0]
 
 
@@ -234,13 +254,12 @@ def tension_map_at(
     pt = np.asarray(x, dtype=float)
     m, n = phi.source_dim, phi.target_dim
     env = [Jet2.variable(pt[..., i], i, m) for i in range(m)]
-    memo: dict = {}
     base = pt.shape[:-1]
     y = np.empty(base + (n,))
     dphi = np.empty(base + (n, m))
     d2phi = np.empty(base + (n, m, m))
-    for c in range(n):
-        out = as_jet2(ex.evaluate(phi.components[c], env, memo), base, m)
+    for c, out in enumerate(ex.evaluate(phi.components, env)):
+        out = as_jet2(out, base, m)
         y[..., c] = out.value
         dphi[..., c, :] = out.grad
         d2phi[..., c, :, :] = out.hess
@@ -286,7 +305,8 @@ def lattice_points(domain, count: int, seed: int, start: int = 0) -> np.ndarray:
     alpha = _kronecker_alpha(d)
     offset = np.random.default_rng(seed).random(d)
     idx = np.arange(start + 1, start + count + 1, dtype=float)[:, None]
-    frac = (offset[None, :] + idx * alpha[None, :]) % 1.0
+    frac = offset[None, :] + idx * alpha[None, :]
+    frac -= np.floor(frac)  # the fractional part, exact as every value is positive
     lo, hi = dom[:, 0], dom[:, 1]
     return lo[None, :] + frac * (hi - lo)[None, :]
 

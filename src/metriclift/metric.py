@@ -3,12 +3,15 @@
 A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
-exact jets, which every jet pass (``_component_jets``) checks are finite
-and keeps on each entry's support: the sampler contracts those rows, and
-:func:`metric_jets_at` scatters them for ``_connection_at``, which factors
-them by ``_checked_inverse`` for every other caller; only :func:`metric_at`
-is unchecked.  The functions below accept a single point ``(m,)`` or a
-batch ``(N, m)`` and return correspondingly shaped arrays.
+exact jets.  Every jet pass (``_component_jets``) evaluates all upper
+entries in one walk of :func:`exprlang.evaluate`, which drops each
+subexpression's jet after its last use, checks the jets are finite and
+keeps them on each entry's support: the sampler contracts those rows,
+and :func:`metric_jets_at` scatters them for ``_connection_at``, which
+factors them by ``_checked_inverse`` for every other caller; only
+:func:`metric_at` (one walk too) is unchecked.  The functions below
+accept a single point ``(m,)`` or a batch ``(N, m)`` and return
+correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
 text.  Christoffel symbols are stored as ``gamma[..., k, i, j]`` and the
@@ -78,10 +81,15 @@ def mirror_components(entries: Sequence[Sequence[ExprAst]]):
     same tree object (only the upper triangle of ``entries`` is read)."""
     m = len(entries)
     out = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            out[i][j] = out[j][i] = entries[i][j]
+    for i, j in _upper(m):
+        out[i][j] = out[j][i] = entries[i][j]
     return tuple(tuple(row) for row in out)
+
+
+def _upper(m: int) -> list:
+    """The upper entries (i, j), i <= j, in row order: the order in which
+    every walk over a component matrix evaluates and names them."""
+    return [(i, j) for i in range(m) for j in range(i, m)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ def shared_component_sources(charts: Sequence[ChartedMetric]):
     as a definition (:func:`exprlang.to_shared_sources`)."""
     coords = charts[0].coords
     m = len(coords)
-    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    upper = _upper(m)
     definitions, texts = ex.to_shared_sources(
         [g.components[i][j] for g in charts for i, j in upper], coords
     )
@@ -196,13 +204,11 @@ def metric_at(g: ChartedMetric, x) -> np.ndarray:
     pt = _point_env(g, x)
     m = g.dim
     env = [pt[..., i] for i in range(m)]
-    memo: dict = {}
     out = np.empty(pt.shape[:-1] + (m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = ex.evaluate(g.components[i][j], env, memo)
-            out[..., i, j] = v
-            out[..., j, i] = out[..., i, j]
+    upper = _upper(m)
+    for (i, j), v in zip(upper, ex.evaluate([g.components[i][j] for i, j in upper], env)):
+        out[..., i, j] = v
+        out[..., j, i] = out[..., i, j]
     return out
 
 
@@ -216,24 +222,22 @@ def _component_jets(g: ChartedMetric, x, order: int):
     flat = _point_env(g, x).reshape(-1, g.dim)
     m, n = g.dim, flat.shape[0]
     env = [Jet2.coordinate(flat[:, i], i, order) for i in range(m)]
-    memo: dict = {}
+    upper = _upper(m)
     G = np.empty((m, m, n))
     jets = []
     finite = True
     # an overflowing entry is reported as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(m):
-            for j in range(i, m):
-                out = ex.evaluate(g.components[i][j], env, memo)
-                if not isinstance(out, Jet2):  # a constant entry
-                    G[i, j] = G[j, i] = out
-                    continue
-                G[i, j] = G[j, i] = out.value
-                jets.append((i, j, out))
-                finite = finite and np.isfinite(out.grad).all()
-                if order >= 2:
-                    finite = finite and np.isfinite(out.hess).all()
-    del memo  # the subtrees' jets, before the rows are copied out
+        outs = ex.evaluate([g.components[i][j] for i, j in upper], env)
+    for (i, j), out in zip(upper, outs):
+        if not isinstance(out, Jet2):  # a constant entry
+            G[i, j] = G[j, i] = out
+            continue
+        G[i, j] = G[j, i] = out.value
+        jets.append((i, j, out))
+        finite = finite and np.isfinite(out.grad).all()
+        if order >= 2:
+            finite = finite and np.isfinite(out.hess).all()
     if not (finite and np.isfinite(G).all()):
         ok = np.isfinite(G)  # a bad derivative marks its upper entry only
         for i, j, out in jets:

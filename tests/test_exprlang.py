@@ -681,7 +681,8 @@ def test_walks_take_any_depth():
 
 # Each walker memoizes by node identity.  It must free its memo when it
 # returns, not leave it in a reference cycle for the garbage collector:
-# for a batch evaluation the memo holds every intermediate jet array.
+# for a batch evaluation the memo holds intermediate jet arrays, which
+# ``evaluate`` drops even sooner, at their last use.
 
 
 @pytest.fixture
@@ -698,12 +699,14 @@ class _Tracked:
     """Operand that keeps a weak reference to every value it makes."""
 
     made: list = []
+    alive_at_add: list = []  # per sum: whether each value made so far lives
 
     def __init__(self, v):
         self.v = v
         _Tracked.made.append(weakref.ref(self))
 
     def __add__(self, other):
+        _Tracked.alive_at_add.append([ref() is not None for ref in _Tracked.made])
         return _Tracked(self.v + other.v)
 
     def __mul__(self, other):
@@ -721,6 +724,29 @@ def test_evaluate_frees_its_memo_on_return(no_gc):
     assert out.v == 8.0
     product = _Tracked.made[2]  # x1*x2, memoized on the way to the sum
     assert product() is None
+
+
+def test_multi_root_evaluate_frees_each_intermediate_at_its_last_use(no_gc):
+    # made: x1, x2, then p = x1*x2, q = p*x1 (the first root) and the sum
+    # x1 + x2 (the second): p's last reader is q, so p is gone by the sum,
+    # while the walk still runs
+    _Tracked.made, _Tracked.alive_at_add = [], []
+    table: dict = {}
+    roots = [parse_expression(s, ["x1", "x2"], table) for s in ("x1*x2*x1", "x1 + x2")]
+    out = ex.evaluate(roots, [_Tracked(2.0), _Tracked(3.0)])
+    assert [v.v for v in out] == [12.0, 5.0]
+    assert _Tracked.alive_at_add == [[True, True, False, True]]
+
+
+def test_evaluate_keeps_every_root():
+    # a root read by a later root, and a root given twice, are still
+    # returned; one tree gives its value, a sequence the list of values
+    table: dict = {}
+    p, q = (parse_expression(s, ["x1", "x2"], table) for s in ("x1*x2", "sin(x1*x2)*x1"))
+    x = np.array([0.3, -0.7])
+    assert ex.evaluate(p, x) == x[0] * x[1]
+    assert ex.evaluate([p, q, p], x) == [x[0] * x[1], np.sin(x[0] * x[1]) * x[0], x[0] * x[1]]
+    assert ex.evaluate([], x) == []
 
 
 def test_differentiate_frees_its_memo_on_return(no_gc):

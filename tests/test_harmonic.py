@@ -92,6 +92,42 @@ class TestTensionIdentity:
         assert calls == [((5, 3, 3), (5, 3, 3)), ((5, 3, 3), (5, 3, 1))]
         assert tau.shape == (5, 3) and np.isfinite(tau).all()
 
+    def test_point_tension_does_not_depend_on_the_batch(self):
+        # every reduction runs along the samples in a fixed order, so a
+        # point's tau is the same alone (N = 1) as inside a batch
+        g, ghat = dense_metric(7), dense_metric(7, quad=0.3, amp=0.05)
+        x = domain_points(g, 40)
+        alone = np.array([tension_identity_at(g, ghat, p) for p in x])
+        assert np.array_equal(alone, tension_identity_at(g, ghat, x))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_streamed_contraction_equals_the_stacked_sum(self, seed):
+        # c is accumulated one term slot at a time; numpy's axis-0 sum of
+        # the whole (S, m, N) term stack adds the slots in the same order
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 9)), int(rng.choice([1, 2, 7, 64]))
+        every = np.array([(a, b, i) for a in range(m) for b in range(a, m) for i in range(m)])
+        abi = every[np.sort(rng.choice(len(every), int(rng.integers(0, len(every) + 1)), replace=False))]
+        ginv = rng.standard_normal((m, m, n))
+        ginv[rng.random(ginv.shape) < 0.3] = -0.0  # signed zeros must survive too
+        rows = rng.standard_normal((len(abi), n))
+        pq, row, w = harmonic._term_slots(abi.reshape(-1, 3), m)
+        stacked = (ginv.reshape(m * m, n)[pq] * rows[row] * w[..., None]).sum(0)
+        c = harmonic._contracted_christoffel(ginv, rows, pq, row, w)
+        assert c.tobytes() == stacked.tobytes()
+
+    def test_constant_metric_has_no_terms(self):
+        g = ChartedMetric.from_strings(["x1", "x2"], [["2", "0.5"], ["0.5", "3"]],
+                                       [(-1, 1), (-1, 1)])
+        x = domain_points(g, 5)
+        G, (abi, rows), _ = metric._component_jets(g, x, 1)
+        pq, row, w = harmonic._term_slots(abi, 2)
+        assert pq.shape == (0, 2)
+        ginv = np.broadcast_to(np.eye(2)[..., None], (2, 2, 5))
+        c = harmonic._contracted_christoffel(ginv, rows, pq, row, w)
+        assert c.tobytes() == np.zeros((2, 5)).tobytes()
+        assert np.array_equal(tension_identity_at(g, g, x), np.zeros((5, 2)))
+
     def test_dimension_mismatch(self):
         g3 = egorov_metric(EgorovSpec(3, "exp(x3)"))
         g4 = egorov_metric(EgorovSpec(4, "exp(x4)"))
@@ -284,6 +320,20 @@ class TestLattice:
         head = lattice_points(dom, 8, seed=5)
         tail = lattice_points(dom, 12, seed=5, start=8)
         assert np.array_equal(np.vstack([head, tail]), a)
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_same_lattice_as_the_modulo_formula(self, d):
+        # every argument is positive, where x - floor(x) and x % 1.0 are
+        # both exact
+        for seed in (0, 5, 123):
+            for count, start in ((1, 0), (37, 0), (4096, 0), (50, 4096), (9, 10**6)):
+                dom = np.column_stack((np.linspace(-3.0, 0.5, d), np.linspace(-1.0, 7.25, d)))
+                alpha = harmonic._kronecker_alpha(d)
+                offset = np.random.default_rng(seed).random(d)
+                idx = np.arange(start + 1, start + count + 1, dtype=float)[:, None]
+                frac = (offset + idx * alpha) % 1.0
+                want = dom[:, 0] + frac * (dom[:, 1] - dom[:, 0])
+                assert np.array_equal(lattice_points(dom, count, seed, start), want)
 
     def test_disjoint_domains_rejected(self):
         a = ChartedMetric.from_strings(["x1", "x2"], [["1", "0"], ["0", "1"]],

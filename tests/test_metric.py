@@ -3,7 +3,12 @@ import pytest
 
 from metriclift import EgorovSpec, GodelSpec, egorov_metric, godel_metric
 from metriclift import exprlang as ex
-from metriclift.harmonic import CoordinateMap, tension_identity_at, tension_map_at
+from metriclift.harmonic import (
+    CoordinateMap,
+    check_harmonic,
+    tension_identity_at,
+    tension_map_at,
+)
 from metriclift.jets import Jet2, as_jet2
 from metriclift.lifts import (
     FiberPoint,
@@ -284,6 +289,45 @@ def test_non_finite_derivative_of_a_finite_entry_is_named(order, x1):
     )
     if order == 2:
         assert np.isfinite(metric_jets_at(g, x, 1)[1]).all()
+
+
+# log of a negative value in entries (1,2) and (2,2): every upper entry is
+# evaluated in one walk, in row order, which fails at the first of them
+TWO_BAD = ChartedMetric.from_strings(
+    ["x1", "x2"], [["3", "log(x1 - 2)"], ["log(x1 - 2)", "log(x2 - 3)"]], [(-1, 1), (-1, 1)]
+)
+EVERY_WALK = {
+    **CONNECTION_CONSUMERS,
+    "metric_at": lambda g: metric_at(g, AT),
+    "check_harmonic": lambda g: check_harmonic(g, FLAT2, samples=8),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_WALK)
+def test_first_failing_upper_entry_is_named(name):
+    with pytest.raises(ex.EvalDomainError) as exc:
+        EVERY_WALK[name](TWO_BAD)
+    assert exc.value.culprit == "log(x1 - 2)"
+
+
+def test_one_walk_gives_what_a_walk_per_entry_gives():
+    # the entries of a dense chart share subtrees such as 0.25*x1, and a
+    # lifted chart shares far more; each entry walked on its own (no shared
+    # values) must give the same bits
+    for g in (dense_metric(4), lift_to_chart(dense_metric(2), LiftKind.SASAKI_TM)):
+        x = domain_points(g, 9)
+        env = [x[:, i] for i in range(g.dim)]
+        alone = [[ex.evaluate(e, env) for e in row] for row in g.components]
+        assert np.array_equal(metric_at(g, x), np.moveaxis(np.array(alone), -1, 0))
+    # a map whose components share x1*x2, against one parsed per component
+    coords = ("x1", "x2")
+    sources = ["x1 + 0.1*x1*x2", "x2 - 0.1*x1*x2"]
+    table: dict = {}
+    shared = CoordinateMap(coords, coords, tuple(ex.parse_expression(t, coords, table) for t in sources))
+    g, h = dense_metric(2), dense_metric(2, amp=0.17)
+    x = 0.5 * domain_points(g, 9)
+    want = tension_map_at(CoordinateMap.from_strings(coords, coords, sources), g, h, x)
+    assert np.array_equal(tension_map_at(shared, g, h, x), want)
 
 
 @pytest.mark.parametrize("name", CONNECTION_CONSUMERS)

@@ -184,3 +184,17 @@ def test_dense_m16_check_holds_no_dense_first_jets():
         tracemalloc.stop()
     assert rep.samples_used == 4096
     assert peak < 128e6
+
+
+def test_dense_m16_check_frees_jets_and_terms_as_it_goes():
+    # the jet pass drops each subtree's jet at its last use, and c is summed
+    # one term slot at a time: no memo of every jet, no (S, m, N) term stack
+    g, ghat = dense_metric(16), dense_metric(16, amp=0.17)
+    tracemalloc.start()
+    try:
+        rep = check_harmonic(g, ghat, samples=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.samples_used == 4096
+    assert peak < 80e6
