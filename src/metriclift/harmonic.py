@@ -41,7 +41,9 @@ harmonicity, hence the wording "harmonic-on-samples".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import exprlang as ex
@@ -288,12 +290,16 @@ def tension_map_at(
 # deterministic sampling
 
 
+@functools.cache
 def _kronecker_alpha(d: int) -> np.ndarray:
-    # unique real root > 1 of x^(d+1) = x + 1; alphas are its inverse powers
+    # unique real root > 1 of x^(d+1) = x + 1; alphas are its inverse powers.
+    # Found once per dimension (64 Newton steps) and shared, so read-only.
     x = 2.0
     for _ in range(64):
         x = x - (x ** (d + 1) - x - 1.0) / ((d + 1) * x**d - 1.0)
-    return np.array([(1.0 / x) ** (j + 1) for j in range(d)])
+    alpha = np.array([(1.0 / x) ** (j + 1) for j in range(d)])
+    alpha.flags.writeable = False
+    return alpha
 
 
 def lattice_points(domain, count: int, seed: int, start: int = 0) -> np.ndarray:

@@ -16,8 +16,10 @@ supported, each in two presentations:
   component trees and their derivatives, with no simplification beyond
   0/1 folding; the Sasaki kinds also use Christoffel trees built from the
   cofactor inverse, a memoized Laplace expansion that builds each minor
-  once.  The result feeds the wholly generic pipeline and serves as an
-  independent oracle for the block formulas.
+  once.  Every sum is built from its terms with no zero factor only, so
+  the cost follows the base chart's zero pattern.  The result feeds the
+  wholly generic pipeline and serves as an independent oracle for the
+  block formulas.
 
 Conventions.  On TM the fiber coordinates are vector components u^i and
 the adapted frame is ``delta_i = d_i - u^h Gamma^k_{hi} d/du^k`` (sum
@@ -249,11 +251,25 @@ def lifted_tension_at(
 # symbolic assembly of induced-coordinate lifted charts
 
 
+def _is_zero(e: ExprAst) -> bool:
+    """Whether ``e`` is a zero constant (``0``, ``-0``, ``-(0.0)``): a
+    factor by which :func:`exprlang.mul` folds a product to ``0``, which
+    :func:`exprlang.add` then drops from a sum.  The assembly below skips
+    such terms before building them."""
+    return ex._num(e) == 0.0
+
+
+def _nonzero(entries) -> list[int]:
+    """Indices of the entries that are not zero constants, in order."""
+    return [n for n, e in enumerate(entries) if not _is_zero(e)]
+
+
 def _symbolic_inverse(components):
     """Adjugate-over-determinant inverse of a symmetric AST matrix; the
     (k, l) and (l, k) entries share one tree.  Each minor is expanded along
-    its first row once, and shared by the determinant and every cofactor
-    that reaches it: at most about m^2 2^m minors, not m! expansions."""
+    its first row once, over that row's nonzero entries, and shared by the
+    determinant and every cofactor that reaches it: at most about m^2 2^m
+    minors, not m! expansions, and fewer where entries are zero."""
     m = len(components)
     memo: dict = {}
 
@@ -263,7 +279,7 @@ def _symbolic_inverse(components):
             acc = ex.const(0.0 if rows else 1.0)
             for n, j in enumerate(cols):
                 e = components[rows[0]][j]
-                if isinstance(e, ex.Num) and e.value == 0.0:
+                if _is_zero(e):
                     continue
                 term = ex.mul(e, det(rows[1:], cols[:n] + cols[n + 1 :]))
                 acc = ex.add(acc, term) if n % 2 == 0 else ex.sub(acc, term)
@@ -284,7 +300,9 @@ def _symbolic_inverse(components):
 def _symbolic_christoffels(g: ChartedMetric, dmemo: dict):
     """Christoffel symbol trees Gamma[k][i][j] over the base chart, with
     (i, j) entries shared, plus the cofactor inverse trees; ``dmemo`` is
-    the memo of :func:`exprlang.differentiate`."""
+    the memo of :func:`exprlang.differentiate`.  Gamma^k_{ij} sums
+    g^{kl} (d_j g_{il} + d_i g_{jl} - d_l g_{ij}) / 2 over the l with
+    g^{kl} nonzero only, so a sparse inverse costs its nonzero entries."""
     m = g.dim
     comp = g.components
     dg = [[[None] * m for _ in range(m)] for _ in range(m)]  # [i][j][l]
@@ -296,10 +314,11 @@ def _symbolic_christoffels(g: ChartedMetric, dmemo: dict):
     ginv = _symbolic_inverse(comp)
     gamma = [[[None] * m for _ in range(m)] for _ in range(m)]  # [k][i][j]
     for k in range(m):
+        row = _nonzero(ginv[k])
         for i in range(m):
             for j in range(i, m):
                 acc = ex.const(0.0)
-                for l in range(m):
+                for l in row:
                     combo = ex.sub(ex.add(dg[j][l][i], dg[i][l][j]), dg[i][j][l])
                     acc = ex.add(acc, ex.mul(ginv[k][l], combo))
                 gamma[k][i][j] = gamma[k][j][i] = ex.mul(ex.const(0.5), acc)
@@ -333,6 +352,11 @@ def _sum(terms) -> ExprAst:
     return acc
 
 
+def _fiber_sum(w, terms) -> ExprAst:
+    """sum_h w[h] terms[h] over the nonzero terms."""
+    return _sum(ex.mul(w[h], terms[h]) for h in _nonzero(terms))
+
+
 def lift_to_chart(g: ChartedMetric, kind: LiftKind) -> ChartedMetric:
     """Lifted metric as a charted metric on the induced 2m-dimensional
     chart, assembled symbolically (coframe products over the component
@@ -340,7 +364,15 @@ def lift_to_chart(g: ChartedMetric, kind: LiftKind) -> ChartedMetric:
     two coincide for the Levi-Civita connection; only the Sasaki kinds use
     Christoffel trees, built from the cofactor inverse.  Every shared node
     of the components is differentiated once, so the result is linear in
-    the size of the base chart's DAG."""
+    the size of the base chart's DAG.
+
+    Each lifted entry is a sum of products built from its terms with no
+    zero-constant factor (:func:`_is_zero`), in the order of the full index
+    loops; the others would fold to ``0`` and drop out of the sum, so the
+    trees are those the full loops build.  The zero pattern of g^{-1}, of
+    the Christoffel trees and of A is read once per chart, so the cost of
+    a Sasaki lift follows its nonzero terms: O(m^4) products for a dense
+    base, far fewer for a sparse one."""
     m = g.dim
     fiber = _fiber_names(g.coords, kind.cotangent)
     coords = g.coords + fiber
@@ -355,9 +387,8 @@ def lift_to_chart(g: ChartedMetric, kind: LiftKind) -> ChartedMetric:
         # g^H = g^C: the Levi-Civita connection has nabla g = 0
         for i in range(m):
             for j in range(i, m):
-                entries[i][j] = _sum(
-                    ex.mul(w[h], ex.differentiate(comp[i][j], h, dmemo)) for h in range(m)
-                )
+                d = [ex.differentiate(comp[i][j], h, dmemo) for h in range(m)]
+                entries[i][j] = _fiber_sum(w, d)
             for j in range(m):
                 entries[i][m + j] = comp[i][j]
     elif kind in (LiftKind.SASAKI_TM, LiftKind.SASAKI_CTM):
@@ -370,26 +401,29 @@ def lift_to_chart(g: ChartedMetric, kind: LiftKind) -> ChartedMetric:
             A = [[None] * m for _ in range(m)]
             for k in range(m):
                 for i in range(k, m):
-                    A[k][i] = A[i][k] = _sum(
-                        ex.mul(w[a], gamma[a][k][i]) for a in range(m)
-                    )
+                    A[k][i] = A[i][k] = _fiber_sum(w, [gamma[a][k][i] for a in range(m)])
         else:
             H = comp  # A^k_i = u^h Gamma^k_{hi}
-            A = [
-                [_sum(ex.mul(w[h], gamma[k][h][i]) for h in range(m)) for i in range(m)]
-                for k in range(m)
-            ]
+            A = [[_fiber_sum(w, gamma[k][i]) for i in range(m)] for k in range(m)]
+        # the zero pattern: the nonzero k of each column of A and l of each
+        # row of H, so each sum runs over the terms with no zero factor
+        a_cols = [_nonzero([A[k][i] for k in range(m)]) for i in range(m)]
+        a_sets = [set(c) for c in a_cols]
+        h_rows = [_nonzero(row) for row in H]
         for i in range(m):
             for j in range(i, m):
                 quad = _sum(
                     ex.mul(ex.mul(H[k][l], A[k][i]), A[l][j])
-                    for k in range(m)
-                    for l in range(m)
+                    for k in a_cols[i]
+                    for l in h_rows[k]
+                    if l in a_sets[j]
                 )
                 entries[i][j] = ex.add(comp[i][j], quad)
                 entries[m + i][m + j] = H[i][j]
             for j in range(m):
-                off = _sum(ex.mul(A[k][i], H[k][j]) for k in range(m))
+                off = _sum(
+                    ex.mul(A[k][i], H[k][j]) for k in a_cols[i] if not _is_zero(H[k][j])
+                )
                 entries[i][m + j] = ex.neg(off) if kind.cotangent else off
     else:
         raise ValueError(f"unknown lift kind: {kind!r}")

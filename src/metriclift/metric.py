@@ -285,11 +285,16 @@ def _eliminate(A: np.ndarray, B: np.ndarray):
     axis: ``A`` is ``(m, m, N)``, ``B`` is ``(m, r, N)`` and ``X`` is
     ``(m, r, N)``.  Pivot rows are not rescaled during the sweep: the
     pivots stay on the diagonal, so det is their product (with the sign of
-    the row swaps) and X is the right-hand side over them.  At a sample
-    where A is singular a pivot is zero, so det is 0 and X is not finite
-    there, without a warning; the caller screens on det."""
+    the row swaps) and X is the right-hand side over them.  A and B are
+    swept in copies of their own, B's becoming X, one row at a time, so
+    the work beyond those copies is two rows, not an (m, m + r, N)
+    temporary per step.  At a sample where A is singular a pivot is zero,
+    so det is 0 and X is not finite there, without a warning; the caller
+    screens on det."""
     m, n = A.shape[0], A.shape[-1]
-    M = np.concatenate((A, B), axis=1)
+    M, X = A.copy(), B.copy()
+    # one row of the update f[i] * [A | B][k, k + 1:] at a time, into these
+    tmp_a, tmp_x = np.empty((m, n)), np.empty(X.shape[1:])
     # a rank per row, highest first: of equally large pivot candidates the
     # first wins, as with argmax, which loops per sample along axis 0
     rank, points = np.arange(m - 1, -1, -1)[:, None], np.arange(n)
@@ -300,22 +305,31 @@ def _eliminate(A: np.ndarray, B: np.ndarray):
                 cand = np.abs(M[k:, k])
                 p = (m - 1 - k) - ((cand == cand.max(axis=0)) * rank[k:]).max(axis=0)
                 if p.any():
-                    rows = M[k:, k:]
-                    top = rows[p, :, points]
-                    rows[p, :, points] = rows[0].T
-                    rows[0] = top.T
+                    for rows in (M[k:, k:], X[k:]):
+                        top = rows[p, :, points]
+                        rows[p, :, points] = rows[0].T
+                        rows[0] = top.T
                     odd ^= p > 0
             f = M[:, k] / M[k, k]
             f[k] = 0.0
             if f.any():  # else column k is clear already, as in diagonal blocks
-                M[:, k + 1 :] -= f[:, None] * M[k, k + 1 :]
+                # every row, k too (f[k] = 0 there) and last, as it is the
+                # pivot row: the same bits as one (m, m + r - k - 1, N)
+                # product would give, NaN and signed zeros included
+                ta = tmp_a[: m - k - 1]
+                for i in (*range(k), *range(k + 1, m), k):
+                    np.multiply(f[i], M[k, k + 1 :], out=ta)
+                    np.subtract(M[i, k + 1 :], ta, out=M[i, k + 1 :])
+                    np.multiply(f[i], X[k], out=tmp_x)
+                    np.subtract(X[i], tmp_x, out=X[i])
         pivots = np.diagonal(M).T
         det = pivots.prod(axis=0)
         # a zero pivot stays on the diagonal, but the NaN it spreads
         # through the later pivots would hide it in their product
         det[(pivots == 0.0).any(axis=0)] = 0.0
         np.negative(det, out=det, where=odd)
-        return det, M[:, m:] / pivots[:, None]
+        X /= pivots[:, None]
+        return det, X
 
 
 def _solve(A: np.ndarray, B: np.ndarray):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from metriclift import (
     EgorovSpec,
@@ -11,6 +12,12 @@ from metriclift import (
 )
 from metriclift.harmonic import lattice_points
 from metriclift.metric import ChartedMetric, metric_at
+
+# One profile for every property test, each keeping its own max_examples:
+# no deadline (an example may lift or check a whole chart), the same
+# examples on every run, and no example database.
+settings.register_profile("metriclift", deadline=None, derandomize=True, database=None)
+settings.load_profile("metriclift")
 
 # Harmonic pairs used by the lift-equivalence suites: 6 Egorov, 3 Goedel,
 # 3 Walker.  Every pair has identically vanishing identity-map tension.

@@ -933,7 +933,7 @@ def _manifests(draw):
     return doc, ",".join(at[: sometimes_bad([m], [m - 1, m + 1])])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_manifests(), st.sampled_from(["check", "check", "lift", "tensors"]), st.booleans())
 def test_cli_exits_0_1_or_2_with_strict_json(tmp_path_factory, case, command, glued):
     doc, at = case

@@ -11,6 +11,7 @@ the screen catches singular and NaN matrices on both.
 """
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -72,6 +73,36 @@ def _pivot_offsets(a):
     return out
 
 
+def _eliminate_by_steps(A, B):
+    """The elimination of ``metric._eliminate`` with each step's update
+    formed as one (m, m + r - k - 1, N) product for all rows at once, on
+    one [A | B] work array: the bits its row sweep must give."""
+    m, n = A.shape[0], A.shape[-1]
+    M = np.concatenate((A, B), axis=1)
+    rank, points = np.arange(m - 1, -1, -1)[:, None], np.arange(n)
+    odd = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            if k < m - 1:
+                cand = np.abs(M[k:, k])
+                p = (m - 1 - k) - ((cand == cand.max(axis=0)) * rank[k:]).max(axis=0)
+                if p.any():
+                    rows = M[k:, k:]
+                    top = rows[p, :, points]
+                    rows[p, :, points] = rows[0].T
+                    rows[0] = top.T
+                    odd ^= p > 0
+            f = M[:, k] / M[k, k]
+            f[k] = 0.0
+            if f.any():
+                M[:, k + 1 :] -= f[:, None] * M[k, k + 1 :]
+        pivots = np.diagonal(M).T
+        det = pivots.prod(axis=0)
+        det[(pivots == 0.0).any(axis=0)] = 0.0
+        np.negative(det, out=det, where=odd)
+        return det, M[:, m:] / pivots[:, None]
+
+
 def _batches():
     for name, g in FIXTURES.items():
         yield name, metric_at(g, domain_points(g, SMALL))
@@ -113,6 +144,27 @@ def test_det_inverse_and_solve_match_linalg(side, name, A):
     det_s, x = _solved(A, rhs, SIDES[side])
     assert np.array_equal(det_s, det)
     assert _rel(x, np.linalg.solve(A, rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 16])
+def test_row_sweep_gives_the_bits_of_one_update_per_step(m):
+    # zeros, signed zeros, overflow and NaN entries included: the pivot row
+    # is updated last, so an infinity in it spreads as in the one product
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, m, 300))
+    A = A + A.transpose(1, 0, 2)
+    A[:, :, 1::5] *= 1e300
+    A[:, :, 2::5] = 0.0
+    A[0, 0, 3::5] = -0.0
+    A[rng.integers(m), rng.integers(m), 4::10] = np.nan
+    A[rng.integers(m), :, 9::10] = np.inf
+    # the first pivot row holds an infinity right of the pivot, in A and in B
+    A[0, 0, 8::10], A[0, -1, 8::10] = 1e3, np.inf
+    rhs = rng.standard_normal((m, 1, 300))
+    A[0, 0, 6::10], rhs[0, 0, 6::10] = 1e3, np.inf
+    for B in (np.broadcast_to(np.eye(m)[:, :, None], A.shape), rhs):
+        for got, want in zip(metric._eliminate(A, B), _eliminate_by_steps(A, B)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("side", list(SIDES))
@@ -253,3 +305,21 @@ def test_tensors_evaluate_and_factor_the_metric_once(monkeypatch, tmp_path, caps
     assert solves == [(1, 3, 3)]
     assert jet_orders == [2]
     assert value_calls == []
+
+
+def test_dense_m16_elimination_sweeps_rows_in_place():
+    # A and B are swept in copies of their own, one row at a time, and X is
+    # B's copy: 8.4 MB each here; one [A | B] work array with a whole
+    # (m, m + r - k - 1, N) update product per step rises 34 MB
+    g = dense_metric(16)
+    G = metric_at(g, domain_points(g, 4096))
+    eye = np.broadcast_to(np.eye(16), G.shape)
+    tracemalloc.start()
+    try:
+        det, X = _solve(G, eye)
+        rise = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rise < 24e6
+    assert np.all(det > 0.0)
+    assert np.allclose(G @ X, np.eye(16), atol=1e-12)

@@ -411,7 +411,7 @@ def _outcome(fn):
     return np.asarray(out, dtype=float).tobytes()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.0)]))
 def test_reparse_evaluates_bit_identically(e, point):
     back = parse_expression(to_source(e), ["x1", "x2"])
@@ -465,7 +465,7 @@ def _assert_sparse_matches_full(e, point):
         assert np.array_equal(s[seen], f[seen])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.0)]))
 def test_support_sparse_jets_match_full_width_ones(e, point):
     _assert_sparse_matches_full(e, point)
@@ -505,7 +505,7 @@ FD_STEP = 1e-5
 FD_RTOL = 1e-5
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_FD_TREES, st.sampled_from([(0.3, -0.7), (1.25, 2.0), (-1.5, 0.4)]))
 def test_jets_match_central_differences_on_random_trees(e, point):
     p = np.asarray(point)
@@ -547,7 +547,7 @@ def _expanded(e) -> int:
     return count(e)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.lists(_TREES, min_size=1, max_size=4))
 def test_definitions_parse_to_the_nodes_of_the_expanded_text(roots):
     # a family that shares subtrees by identity and by structure

@@ -335,6 +335,16 @@ class TestLattice:
                 want = dom[:, 0] + frac * (dom[:, 1] - dom[:, 0])
                 assert np.array_equal(lattice_points(dom, count, seed, start), want)
 
+    def test_alphas_are_found_once_per_dimension(self):
+        # up to the bundle chart of the largest Egorov base (m=64)
+        for d in range(1, 129):
+            lattice_points([(0.0, 1.0)] * d, 3, seed=d)
+            cached = harmonic._kronecker_alpha(d)
+            assert cached is harmonic._kronecker_alpha(d)
+            assert not cached.flags.writeable
+            fresh = harmonic._kronecker_alpha.__wrapped__(d)
+            assert cached.tobytes() == fresh.tobytes()
+
     def test_disjoint_domains_rejected(self):
         a = ChartedMetric.from_strings(["x1", "x2"], [["1", "0"], ["0", "1"]],
                                        [(0, 1), (0, 1)])
