@@ -56,6 +56,7 @@ __all__ = [
     "to_source",
     "to_shared_sources",
     "evaluate",
+    "evaluate_each",
     "eval_value",
     "eval_jet2",
     "differentiate",
@@ -517,10 +518,20 @@ def _num(e: ExprAst) -> float | None:
     return None
 
 
+def _overflow(av: float, op: str, bv: float) -> NoReturn:
+    """Refuse to fold ``av op bv``.  Its operands are finite, as every
+    number literal is, so a result that is not finite overflowed the float
+    range, and the text it would print (``inf``) parses as no number."""
+    raise ExprError(
+        f"the folded constant {_fmt_num(av)}{op}{_fmt_num(bv)} overflows the float range"
+    )
+
+
 def add(a: ExprAst, b: ExprAst) -> ExprAst:
     av, bv = _num(a), _num(b)
     if av is not None and bv is not None:
-        return Num(av + bv)
+        v = av + bv
+        return Num(v) if math.isfinite(v) else _overflow(av, "+", bv)
     if av == 0.0:
         return b
     if bv == 0.0:
@@ -531,7 +542,8 @@ def add(a: ExprAst, b: ExprAst) -> ExprAst:
 def sub(a: ExprAst, b: ExprAst) -> ExprAst:
     av, bv = _num(a), _num(b)
     if av is not None and bv is not None:
-        return Num(av - bv)
+        v = av - bv
+        return Num(v) if math.isfinite(v) else _overflow(av, "-", bv)
     if bv == 0.0:
         return a
     if av == 0.0:
@@ -551,7 +563,8 @@ def neg(a: ExprAst) -> ExprAst:
 def mul(a: ExprAst, b: ExprAst) -> ExprAst:
     av, bv = _num(a), _num(b)
     if av is not None and bv is not None:
-        return Num(av * bv)
+        v = av * bv
+        return Num(v) if math.isfinite(v) else _overflow(av, "*", bv)
     if av == 0.0 or bv == 0.0:
         return Num(0.0)
     if av == 1.0:
@@ -568,7 +581,8 @@ def div(a: ExprAst, b: ExprAst) -> ExprAst:
     if bv == 1.0:
         return a
     if av is not None and bv is not None and bv != 0.0:
-        return Num(av / bv)
+        v = av / bv
+        return Num(v) if math.isfinite(v) else _overflow(av, "/", bv)
     return Binary("/", a, b)
 
 
@@ -714,28 +728,54 @@ def _general_power(base, expo, node: ExprAst):
 def evaluate(expr, env):
     """Evaluate ``expr``, a tree or a sequence of trees, over operands
     supporting arithmetic (floats, arrays or jets): its value, or the list
-    of their values.  The trees are walked once, in order, each shared
-    node computed once, and every intermediate value is dropped as soon as
-    the last node that reads it has run, so a batch walk holds only the
-    values still to be read and the trees' own."""
-    roots = [expr] if isinstance(expr, _Node) else list(expr)
+    of their values, from one :func:`evaluate_each` walk."""
+    if isinstance(expr, _Node):
+        [(_, out)] = evaluate_each([expr], env)
+        return out
+    roots = list(expr)
+    out = [None] * len(roots)
+    for k, value in evaluate_each(roots, env):
+        out[k] = value
+    return out
+
+
+def evaluate_each(roots, env):
+    """Evaluate the trees ``roots`` in one walk, yielding ``(k, value)`` for
+    root k as soon as it is computed, in the order of the walk: a root
+    inside an earlier one comes before it.  Each shared node is computed
+    once, and every value, a root's too, is dropped as soon as the last
+    node that reads it has run and it has been yielded, so a batch walk
+    holds only the values still to be read and the trees' own, and a
+    consumer holds what it keeps of the roots."""
+    roots = list(roots)
     order = _postorder(roots, ())
-    # free[pos]: the ids of the nodes last read by order[pos], found in one
-    # pass from the end; the roots are returned, so never freed
-    kept = set(map(id, roots))
+    rooted: dict = {}  # id of a root: its indices in roots
+    for k, root in enumerate(roots):
+        rooted.setdefault(id(root), []).append(k)
+    # free[pos]: the ids of the values last read at pos, by order[pos] or
+    # by the yields of the roots it is (yields[pos]), found in one pass
+    # from the end
+    seen: set = set()
     free: list = []
+    yields: list = []
     for node in reversed(order):
         dead = []
-        for kid in _children(node):
+        reads = _children(node)
+        ks = rooted.get(id(node))
+        if ks:
+            reads += (node,)
+        for kid in reads:
             key = id(kid)
-            if key not in kept:
-                kept.add(key)
+            if key not in seen:
+                seen.add(key)
                 dead.append(key)
         free.append(dead)
+        yields.append(ks)
     free.reverse()
+    yields.reverse()
     memo: dict = {}
     try:
-        for node, dead in zip(order, free):
+        for node, dead, ks in zip(order, free, yields):
             t = type(node)
             if t is Binary:
                 op = node.op
@@ -769,13 +809,13 @@ def evaluate(expr, env):
             else:
                 r = _apply_fn(node.fn, memo[id(node.arg)], node)
             memo[id(node)] = r
+            if ks:
+                for k in ks:
+                    yield k, r
             for key in dead:
                 del memo[key]
     except JetDomainError as err:  # pragma: no cover - defensive
         raise EvalDomainError(str(err), node) from err
-    if isinstance(expr, _Node):
-        return memo[id(expr)]
-    return [memo[id(r)] for r in roots]
 
 
 def eval_value(expr: ExprAst, point) -> float:

@@ -34,9 +34,13 @@ verdict.  Each metric is evaluated and factored once per batch of
 candidate points: the jets that screen out degenerate candidates feed
 the tension kernel, whose ``metric._solve`` (see the ``metric`` module
 docstring) gives both the determinant of the screen and g's inverse (for
-g) or the solve (for ghat), in ``tension_identity_at`` too.  The jet pass
-names an entry that is not finite.  A sampled verdict never claims global
-harmonicity, hence the wording "harmonic-on-samples".
+g) or the solve (for ghat), in ``tension_identity_at`` too.  The kernel
+takes the metrics in turn, so that the two metrics' jets are never alive
+together: g's jets, g's factorization, c, then g's rows dropped; ghat's
+jets, chat, then ghat's rows dropped; g^{-1} c, then g's inverse dropped;
+the right-hand side, then G dropped before ghat is factored.  The jet
+pass names an entry that is not finite.  A sampled verdict never claims
+global harmonicity, hence the wording "harmonic-on-samples".
 """
 
 from __future__ import annotations
@@ -200,24 +204,41 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _identity_tension(G, dG, Gh, dGh):
-    """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets of
-    g and ghat at ``N`` points, as ``metric._component_jets`` gives them, by
-    one ``metric._solve`` per metric (see the module docstring).  Where
-    either det is not above 1e-12 tau is meaningless; the caller screens."""
+def _tension_kernel(g_pass, ghat_pass):
+    """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets
+    ``(G, (abi, rows))`` of g and ghat at ``N`` points that ``g_pass()`` and
+    then ``ghat_pass()`` make, as ``metric._component_jets`` does, by one
+    ``metric._solve`` per metric, each array dropped in the order the
+    module docstring gives: ghat's jets are made once g's half is done.
+    Where either det is not above 1e-12 tau is meaningless; the caller
+    screens."""
+    G, (abi, rows) = g_pass()
     m = G.shape[0]
     eye = np.broadcast_to(np.eye(m), (G.shape[-1], m, m))
     with np.errstate(all="ignore"):
         det, ginv = _solve(G.transpose(2, 0, 1), eye)
         ginv = ginv.transpose(1, 2, 0)
-        slots = _term_slots(dG[0], m)
-        c = _contracted_christoffel(ginv, dG[1], *slots)
-        if not np.array_equal(dGh[0], dG[0]):  # else ghat's terms lie alike
-            slots = _term_slots(dGh[0], m)
-        c_hat = _contracted_christoffel(ginv, dGh[1], *slots)
-        rhs = (c_hat - c) - _matvec(Gh - G, _matvec(ginv, c))
+        slots = _term_slots(abi, m)
+        c = _contracted_christoffel(ginv, rows, *slots)
+    del rows
+    Gh, (abi_hat, rows) = ghat_pass()
+    with np.errstate(all="ignore"):
+        if not np.array_equal(abi_hat, abi):  # else ghat's terms lie alike
+            slots = _term_slots(abi_hat, m)
+        c_hat = _contracted_christoffel(ginv, rows, *slots)
+        del rows
+        v = _matvec(ginv, c)
+        del ginv
+        rhs = (c_hat - c) - _matvec(Gh - G, v)
+        del G
         det_hat, sol = _solve(Gh.transpose(2, 0, 1), rhs.T[..., None])
     return det, det_hat, 0.5 * sol[..., 0]
+
+
+def _identity_tension(G, dG, Gh, dGh):
+    """:func:`_tension_kernel` on the first jets of g and ghat, given as
+    ``metric._component_jets`` gives them (lifted jets too)."""
+    return _tension_kernel(lambda: (G, dG), lambda: (Gh, dGh))
 
 
 def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
@@ -233,9 +254,10 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    G, dG, _ = _component_jets(g, flat, order=1)
-    Gh, dGh, _ = _component_jets(ghat, flat, order=1)
-    det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+    det, det_hat, tau = _tension_kernel(
+        lambda: _component_jets(g, flat, order=1)[:2],
+        lambda: _component_jets(ghat, flat, order=1)[:2],
+    )
     _screen(det, flat)
     _screen(det_hat, flat)
     return tau.reshape(pt.shape)
@@ -336,9 +358,10 @@ def _collect_samples(
     most 10x candidates, with the identity tension there.
 
     Each candidate batch takes one order-1 ``metric._component_jets`` pass
-    per metric for :func:`_identity_tension`: the screen |det| > 1e-12 reads
-    the determinants of the factorizations that give the tension, so no
-    metric is evaluated twice at a point.
+    per metric, each made when :func:`_tension_kernel` reaches that
+    metric: the screen |det| > 1e-12 reads the determinants of the
+    factorizations that give the tension, so no metric is evaluated twice
+    at a point.
     When the whole batch is kept its arrays are returned as they are.
     ``domain`` is the shared box, or for a lift the shared box times the
     fiber box.
@@ -354,9 +377,11 @@ def _collect_samples(
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        G, dG, _ = _component_jets(g, cand[:, :m], order=1)
-        Gh, dGh, _ = _component_jets(ghat, cand[:, :m], order=1)
-        det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+        x = cand[:, :m]
+        det, det_hat, tau = _tension_kernel(
+            lambda: _component_jets(g, x, order=1)[:2],
+            lambda: _component_jets(ghat, x, order=1)[:2],
+        )
         ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
         rejected += cand.shape[0] - keep.size

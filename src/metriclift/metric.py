@@ -4,14 +4,15 @@ A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
 exact jets.  Every jet pass (``_component_jets``) evaluates all upper
-entries in one walk of :func:`exprlang.evaluate`, which drops each
-subexpression's jet after its last use, checks the jets are finite and
-keeps them on each entry's support: the sampler contracts those rows,
-and :func:`metric_jets_at` scatters them for ``_connection_at``, which
-factors them by ``_checked_inverse`` for every other caller; only
-:func:`metric_at` (one walk too) is unchecked.  The functions below
-accept a single point ``(m,)`` or a batch ``(N, m)`` and return
-correspondingly shaped arrays.
+entries in one walk of :func:`exprlang.evaluate_each`, which yields each
+entry as soon as it is computed and drops each subexpression's jet after
+its last use.  The pass takes each entry's value into G and keeps only
+its derivative rows, on the entry's support, then checks G and the rows
+are finite: the sampler contracts those rows, and :func:`metric_jets_at`
+scatters them for ``_connection_at``, which factors them by
+``_checked_inverse`` for every other caller; only :func:`metric_at` (one
+walk too) is unchecked.  The functions below accept a single point
+``(m,)`` or a batch ``(N, m)`` and return correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
 text.  Christoffel symbols are stored as ``gamma[..., k, i, j]`` and the
@@ -217,40 +218,47 @@ def _component_jets(g: ChartedMetric, x, order: int):
     ``(m, m, N)``, and ``rows[t] = d_i g_ab`` for ``abi[t] = (a, b, i)``,
     one per coordinate i of the support of each non-constant entry a <= b,
     whose ``(a, b, Jet2)`` ``jets`` lists at ``order=2`` (else ``None``).
-    A non-finite value or derivative raises :class:`exprlang.EvalDomainError`
-    quoting the entry, at the first such point, then the first such entry."""
+    Each entry is taken as the walk yields it: its value goes into ``G``,
+    and only its gradient (at ``order=2`` its jet) is kept until the rows
+    are copied out, so the pass never holds every entry's value jet.  A non-finite value or derivative
+    raises :class:`exprlang.EvalDomainError` quoting the entry, at the
+    first such point, then the first such entry, read from ``G`` and the
+    rows (and the Hessians)."""
     flat = _point_env(g, x).reshape(-1, g.dim)
     m, n = g.dim, flat.shape[0]
     env = [Jet2.coordinate(flat[:, i], i, order) for i in range(m)]
     upper = _upper(m)
     G = np.empty((m, m, n))
+    taken = [None] * len(upper)  # (i, j, support, gradient) of an entry
     jets = []
-    finite = True
     # an overflowing entry is reported as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        outs = ex.evaluate([g.components[i][j] for i, j in upper], env)
-    for (i, j), out in zip(upper, outs):
-        if not isinstance(out, Jet2):  # a constant entry
-            G[i, j] = G[j, i] = out
-            continue
-        G[i, j] = G[j, i] = out.value
-        jets.append((i, j, out))
-        finite = finite and np.isfinite(out.grad).all()
-        if order >= 2:
-            finite = finite and np.isfinite(out.hess).all()
-    if not (finite and np.isfinite(G).all()):
-        ok = np.isfinite(G)  # a bad derivative marks its upper entry only
-        for i, j, out in jets:
-            ok[i, j] &= np.isfinite(out.grad).all(axis=-1)
+        for t, out in ex.evaluate_each([g.components[i][j] for i, j in upper], env):
+            i, j = upper[t]
+            if not isinstance(out, Jet2):  # a constant entry
+                G[i, j] = G[j, i] = out
+                continue
+            G[i, j] = G[j, i] = out.value
+            taken[t] = (i, j, out.support, out.grad.T)
             if order >= 2:
-                ok[i, j] &= np.isfinite(out.hess).all(axis=(-2, -1))
+                jets.append((i, j, out))
+    taken = [e for e in taken if e is not None]
+    abi = np.array([(i, j, k) for i, j, s, _ in taken for k in s], dtype=np.intp)
+    rows = np.concatenate([r for *_, r in taken] + [np.empty((0, n))])
+    del taken, out
+    abi = abi.reshape(-1, 3)
+    finite = np.isfinite(G).all() and np.isfinite(rows).all()
+    if not (finite and all(np.isfinite(out.hess).all() for *_, out in jets)):
+        ok = np.isfinite(G)  # a bad derivative marks its upper entry only
+        for (i, j, _), row in zip(abi, rows):
+            ok[i, j] &= np.isfinite(row)
+        for i, j, out in jets:
+            ok[i, j] &= np.isfinite(out.hess).all(axis=(-2, -1))
         n, i, j = np.argwhere(~ok.transpose(2, 0, 1))[0]
         pt = ", ".join(repr(float(v)) for v in flat[n])
         msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
         raise ex.EvalDomainError(msg, g.components[i][j])
-    abi = np.array([(i, j, k) for i, j, out in jets for k in out.support], dtype=np.intp)
-    rows = np.concatenate([out.grad.T for *_, out in jets] + [np.empty((0, n))])
-    return G, (abi.reshape(-1, 3), rows), jets if order >= 2 else None
+    return G, (abi, rows), jets if order >= 2 else None
 
 
 def metric_jets_at(g: ChartedMetric, x, order: int = 2):

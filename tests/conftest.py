@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -61,6 +63,18 @@ NON_HARMONIC_PAIRS = [
      walker_metric(WalkerSpec("x1 + x2*x3", "x2", "0"))),
 ]
 
+# On [0, 1]^2 the first two lattice points of seed 2 are about
+# (0.016, 0.868) and (0.771, 0.438).  Entry (2,2) of this chart overflows
+# at the first point, while entry (1,1), first in entry order, overflows at
+# the second point only: a non-finite chart is named at its first
+# non-finite point, then by its first non-finite entry there.
+NON_FINITE_ORDER_SEED = 2
+NON_FINITE_ORDER = {
+    "coordinates": ["x1", "x2"],
+    "metric": [["exp(1000*x1 - 50)", "0"], ["0", "exp(1000*x2 - 100)"]],
+    "domain": [[0.0, 1.0], [0.0, 1.0]],
+}
+
 GALLERY_METRICS = [(name, g) for name, g, _ in HARMONIC_PAIRS] + [
     (f"{name}-hat", ghat) for name, _, ghat in HARMONIC_PAIRS
 ]
@@ -80,6 +94,19 @@ def dense_metric(m: int, quad: float = 0.25, amp: float = 0.1) -> ChartedMetric:
         for a in range(m)
     ]
     return ChartedMetric.from_strings(x, entries, [(-1.0, 1.0)] * m)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn()`` returns, and the peak in bytes of
+    the Python heap it allocated on top of what was held before, as
+    tracemalloc traced it."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def domain_points(g, count, seed=1234):

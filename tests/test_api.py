@@ -95,7 +95,7 @@ def test_one_route_to_the_jets_the_inverse_and_lapack():
     assert _owners(_calls("_checked_inverse")) == {"metric._connection_at"}
     assert _owners(_calls("_solve")) == {
         "metric._checked_inverse",
-        "harmonic._identity_tension",
+        "harmonic._tension_kernel",
     }
     assert _owners(_uses_linalg) == {
         "metric._solve",

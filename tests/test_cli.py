@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import metriclift
 from metriclift import cli, exprlang, gallery, harmonic
 from metriclift.lifts import LiftKind, lift_to_chart
-from conftest import dense_metric
+from conftest import NON_FINITE_ORDER, NON_FINITE_ORDER_SEED, dense_metric
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +317,54 @@ class TestCheck:
         err = strict_json(out)["error"]
         assert err["kind"] == "EvalDomainError"
         assert err["message"].startswith("metric entry (1,1) or a derivative of it is not finite")
+
+    def test_first_non_finite_point_is_named_before_the_first_entry(self, tmp_path, capsys):
+        # entry (2,2) overflows at the first candidate, (1,1) at the second
+        # only: check names (2,2) at the first (conftest.NON_FINITE_ORDER)
+        doc = {
+            **NON_FINITE_ORDER,
+            "hat_metric": [["1", "0"], ["0", "1"]],
+            "samples": 2,
+            "seed": NON_FINITE_ORDER_SEED,
+        }
+        first = harmonic.lattice_points(doc["domain"], 2, NON_FINITE_ORDER_SEED)[0]
+        point = ", ".join(repr(float(v)) for v in first)
+        for hat in (False, True):
+            if hat:  # the same chart as ghat, whose jets are made after g's half
+                doc["metric"], doc["hat_metric"] = doc["hat_metric"], doc["metric"]
+            path = write_manifest(tmp_path, "m.json", doc)
+            code, out = run_cli(capsys, "check", "--manifest", path)
+            assert code == 2
+            assert strict_json(out)["error"] == {
+                "kind": "EvalDomainError",
+                "message": f"metric entry (2,2) or a derivative of it is not finite at ({point}) "
+                "in 'exp(1000*x2 - 100)'",
+            }
+
+    @pytest.mark.parametrize("kind", ["sasaki-tm", "sasaki-ctm"])
+    def test_overflowing_folded_constant_is_named_by_lift(self, tmp_path, capsys, kind):
+        # the cofactor of g33 in the constant block 1e200*I folds to
+        # 1e200*1e200, which overflows: printed it would be 'inf', which no
+        # manifest can parse, so the lift names the constant and exits 2
+        doc = {
+            "coordinates": ["x1", "x2", "x3"],
+            "metric": [["1e200", "0", "0"], ["0", "1e200", "0"], ["0", "0", "x1^2+1"]],
+            "hat_metric": [["1e200", "0", "0"], ["0", "1e200", "0"], ["0", "0", "x1^2+2"]],
+        }
+        path = write_manifest(tmp_path, "m.json", doc)
+        code, out = run_cli(capsys, "check", "--manifest", path)
+        assert code == 0  # the base pair itself checks fine
+        code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", kind)
+        assert code == 2
+        assert strict_json(out)["error"] == {
+            "kind": "ExprError",
+            "message": "the folded constant 1e+200*1e+200 overflows the float range",
+        }
+        # the complete and horizontal lifts invert nothing: no such constant
+        for other in ("complete-tm", "horizontal-tm"):
+            code, out = run_cli(capsys, "lift", "--manifest", path, "--lift", other)
+            assert code == 0
+            assert "inf" not in out
 
     @pytest.mark.parametrize(
         "tol, flags, field",

@@ -11,7 +11,6 @@ the screen catches singular and NaN matrices on both.
 """
 
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +28,7 @@ from metriclift.metric import (
     metric_at,
     metric_jets_at,
 )
-from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, domain_points
+from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, domain_points, traced_peak
 
 # a LAPACK-sized batch, and the same matrices tiled to an eliminated one
 SMALL = ELIMINATION_MIN_POINTS // 4
@@ -314,12 +313,7 @@ def test_dense_m16_elimination_sweeps_rows_in_place():
     g = dense_metric(16)
     G = metric_at(g, domain_points(g, 4096))
     eye = np.broadcast_to(np.eye(16), G.shape)
-    tracemalloc.start()
-    try:
-        det, X = _solve(G, eye)
-        rise = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (det, X), rise = traced_peak(lambda: _solve(G, eye))
     assert rise < 24e6
     assert np.all(det > 0.0)
     assert np.allclose(G @ X, np.eye(16), atol=1e-12)

@@ -369,6 +369,25 @@ def test_smart_constructors_fold_a_parsed_negative_literal():
     assert ex.mul(minus_two, minus_two) == Num(4.0)
 
 
+@pytest.mark.parametrize(
+    "build, constant",
+    [
+        (lambda a, b: ex.mul(a, b), "1e+200*1e+200"),
+        (lambda a, b: ex.div(a, ex.const(1e-200)), "1e+200/1e-200"),
+        (lambda a, b: ex.add(ex.const(1.7e308), ex.const(1.7e308)), "1.7e+308+1.7e+308"),
+        (lambda a, b: ex.sub(ex.neg(ex.const(1.7e308)), ex.const(1.7e308)), "-1.7e+308-1.7e+308"),
+    ],
+    ids=["mul", "div", "add", "sub"],
+)
+def test_folding_past_the_float_range_names_the_constant(build, constant):
+    # the folded number would print as 'inf', which parses as no number
+    big = ex.const(1e200)
+    with pytest.raises(ex.ExprError) as exc:
+        build(big, big)
+    assert str(exc.value) == f"the folded constant {constant} overflows the float range"
+    assert ex.mul(big, ex.const(1e100)) == Num(1e300)
+
+
 def test_to_source_negative_constant_operand_reparses():
     e = ex.mul(Sym(0, "x1"), ex.const(-2.0))
     src = to_source(e)
@@ -616,10 +635,12 @@ def test_error_text_is_capped():
 
 
 def test_non_finite_folded_constant_prints():
-    # folding can make a constant no literal can spell
-    big = ex.mul(ex.const(1e200), ex.const(1e200))
+    # folding refuses to make a constant no literal can spell (see
+    # test_folding_past_the_float_range_names_the_constant), but a number
+    # node built with one still prints
+    big = ex.const(float("inf"))
     assert to_source(big) == repr(big) == "inf"
-    assert to_source(ex.sub(big, big)) == "nan"
+    assert to_source(Num(float("nan"))) == "nan"
 
 
 def test_repr_is_capped_source_text():
@@ -747,6 +768,21 @@ def test_evaluate_keeps_every_root():
     assert ex.evaluate(p, x) == x[0] * x[1]
     assert ex.evaluate([p, q, p], x) == [x[0] * x[1], np.sin(x[0] * x[1]) * x[0], x[0] * x[1]]
     assert ex.evaluate([], x) == []
+
+
+def test_evaluate_each_drops_each_root_once_yielded(no_gc):
+    # p = x1*x2 is read again by the second root, the second root by
+    # nothing: both are gone while the walk still runs, once the consumer
+    # lets go of them, instead of being held to the end of the walk
+    table: dict = {}
+    roots = [parse_expression(s, ["x1", "x2"], table) for s in ("x1*x2", "x1*x2*x1", "x1 + x2")]
+    walk = ex.evaluate_each(roots, [_Tracked(2.0), _Tracked(3.0)])
+    (k, first), (l, second) = next(walk), next(walk)
+    first, second = weakref.ref(first), weakref.ref(second)
+    assert next(walk)[1].v == 5.0
+    assert (k, l) == (0, 1)
+    assert first() is None and second() is None
+    assert list(walk) == []
 
 
 def test_differentiate_frees_its_memo_on_return(no_gc):

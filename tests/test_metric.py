@@ -6,6 +6,7 @@ from metriclift import exprlang as ex
 from metriclift.harmonic import (
     CoordinateMap,
     check_harmonic,
+    lattice_points,
     tension_identity_at,
     tension_map_at,
 )
@@ -30,6 +31,8 @@ from metriclift.metric import (
 from conftest import (
     GALLERY_METRICS,
     HARMONIC_PAIRS,
+    NON_FINITE_ORDER,
+    NON_FINITE_ORDER_SEED,
     NON_HARMONIC_PAIRS,
     dense_metric,
     domain_points,
@@ -308,6 +311,50 @@ def test_first_failing_upper_entry_is_named(name):
     with pytest.raises(ex.EvalDomainError) as exc:
         EVERY_WALK[name](TWO_BAD)
     assert exc.value.culprit == "log(x1 - 2)"
+
+
+def _non_finite_order_charts():
+    """The chart of ``conftest.NON_FINITE_ORDER``, a flat chart on its box,
+    and the first two lattice points of its seed."""
+    doc = NON_FINITE_ORDER
+    bad = ChartedMetric.from_strings(doc["coordinates"], doc["metric"], doc["domain"])
+    flat = ChartedMetric.from_strings(doc["coordinates"], [["1", "0"], ["0", "1"]], doc["domain"])
+    pts = lattice_points(bad.domain, 2, NON_FINITE_ORDER_SEED)
+    # (2,2) overflows at the first point, (1,1) at the second only
+    with np.errstate(over="ignore"):
+        values = metric_at(bad, pts)
+    assert np.isinf(values[0, 1, 1]) and np.isfinite(values[0, 0, 0])
+    assert np.isinf(values[1, 0, 0])
+    return bad, flat, pts
+
+
+NON_FINITE_ORDER_WALKS = {
+    "metric_jets_at-1": lambda bad, flat, pts: metric_jets_at(bad, pts, order=1),
+    "metric_jets_at-2": lambda bad, flat, pts: metric_jets_at(bad, pts, order=2),
+    "tension_identity_at-g": lambda bad, flat, pts: tension_identity_at(bad, flat, pts),
+    "tension_identity_at-ghat": lambda bad, flat, pts: tension_identity_at(flat, bad, pts),
+    "check_harmonic-g": lambda bad, flat, pts: check_harmonic(
+        bad, flat, samples=2, seed=NON_FINITE_ORDER_SEED
+    ),
+    "check_harmonic-ghat": lambda bad, flat, pts: check_harmonic(
+        flat, bad, samples=2, seed=NON_FINITE_ORDER_SEED
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_ORDER_WALKS)
+def test_first_non_finite_point_comes_before_the_first_entry(name):
+    # the jets are checked from G and the rows once the walk is done: the
+    # error names the first point where any entry is not finite, then the
+    # first such entry there, (2,2), not (1,1), which fails at a later point
+    bad, flat, pts = _non_finite_order_charts()
+    with pytest.raises(ex.EvalDomainError) as exc:
+        NON_FINITE_ORDER_WALKS[name](bad, flat, pts)
+    point = ", ".join(repr(float(v)) for v in pts[0])
+    assert str(exc.value) == (
+        f"metric entry (2,2) or a derivative of it is not finite at ({point}) "
+        "in 'exp(1000*x2 - 100)'"
+    )
 
 
 def test_one_walk_gives_what_a_walk_per_entry_gives():

@@ -10,7 +10,6 @@ pass and a det screen, then the residual functions on the kept points.
 
 import inspect
 import sys
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,6 +18,7 @@ import pytest
 from metriclift import harmonic, metric
 from metriclift.harmonic import (
     HarmonicityReport,
+    _identity_tension,
     check_harmonic,
     lattice_points,
     shared_domain,
@@ -26,7 +26,7 @@ from metriclift.harmonic import (
 )
 from metriclift.lifts import LiftKind, check_lift_conditions
 from metriclift.metric import DEGENERACY_EPS, ChartedMetric, metric_at
-from conftest import NON_HARMONIC_PAIRS, dense_metric
+from conftest import HARMONIC_PAIRS, NON_HARMONIC_PAIRS, dense_metric, traced_peak
 
 # det of both metrics falls to 1e-12 and below on the band |x1| <= 10^-1.5
 # (about 0.032), a sixth of the box
@@ -134,7 +134,7 @@ def _report(pts, residual, scanned, rejected, seed):
     per_sample = abs_r.max(axis=1)
     worst = int(np.argmax(per_sample))
     return HarmonicityReport(
-        verdict="not-harmonic",
+        verdict="harmonic-on-samples" if per_sample[worst] <= 1e-9 else "not-harmonic",
         max_abs_residual=float(per_sample[worst]),
         worst_point=tuple(float(v) for v in pts[worst]),
         per_component_max=tuple(float(v) for v in abs_r.max(axis=0)),
@@ -176,12 +176,7 @@ def test_dense_m16_check_holds_no_dense_first_jets():
     # the sampler contracts each entry's derivative rows over its support:
     # no (m, m, m, N) first-jet array, which alone is 134 MB here
     g, ghat = dense_metric(16), dense_metric(16, amp=0.17)
-    tracemalloc.start()
-    try:
-        rep = check_harmonic(g, ghat, samples=4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: check_harmonic(g, ghat, samples=4096))
     assert rep.samples_used == 4096
     assert peak < 128e6
 
@@ -190,11 +185,85 @@ def test_dense_m16_check_frees_jets_and_terms_as_it_goes():
     # the jet pass drops each subtree's jet at its last use, and c is summed
     # one term slot at a time: no memo of every jet, no (S, m, N) term stack
     g, ghat = dense_metric(16), dense_metric(16, amp=0.17)
-    tracemalloc.start()
-    try:
-        rep = check_harmonic(g, ghat, samples=4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: check_harmonic(g, ghat, samples=4096))
     assert rep.samples_used == 4096
     assert peak < 80e6
+
+
+def test_dense_m7_check_holds_one_metric_at_a_time():
+    # g is factored, c summed and g's rows dropped before ghat's jets are
+    # made, and each entry's jet is dropped once its value and rows are
+    # taken: 12.6 MB when both metrics' jets were held for g's factorization
+    g, ghat = dense_metric(7), dense_metric(7, amp=0.17)
+    rep, peak = traced_peak(lambda: check_harmonic(g, ghat, samples=4096))
+    assert rep.samples_used == 4096
+    assert peak < 10.5e6
+
+
+def test_dense_m16_check_holds_one_metric_at_a_time():
+    # 55 MB when both metrics' jets were held for g's factorization
+    g, ghat = dense_metric(16), dense_metric(16, amp=0.17)
+    rep, peak = traced_peak(lambda: check_harmonic(g, ghat, samples=4096))
+    assert rep.samples_used == 4096
+    assert peak < 46e6
+
+
+def test_each_metric_is_evaluated_then_factored_in_turn(monkeypatch):
+    # g's jets, g's factorization, then ghat's jets and ghat's: one
+    # metric's jets and factorization copies alive at a time
+    g, ghat = dense_metric(3), dense_metric(3, amp=0.17)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[0]) if name == "jets" else name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(harmonic, "_component_jets", spy("jets", metric._component_jets))
+    monkeypatch.setattr(harmonic, "_solve", spy("solve", metric._solve))
+    check_harmonic(g, ghat, samples=8)
+    assert calls == [("jets", g), "solve", ("jets", ghat), "solve"]
+    calls.clear()
+    tension_identity_at(g, ghat, lattice_points(g.domain, 5, 1))
+    assert calls == [("jets", g), "solve", ("jets", ghat), "solve"]
+
+
+def _seam_report(g, ghat, domain, residual, samples, seed):
+    """The report of a sampled check built from ``_identity_tension`` on the
+    first jets of both metrics at the first ``samples`` candidates, all of
+    them kept."""
+    pts = lattice_points(domain, samples, seed)
+    x = pts[:, : g.dim]
+    G, dG, _ = metric._component_jets(g, x, 1)
+    Gh, dGh, _ = metric._component_jets(ghat, x, 1)
+    det, det_hat, tau = _identity_tension(G, dG, Gh, dGh)
+    assert np.all(np.abs(det) > DEGENERACY_EPS) and np.all(np.abs(det_hat) > DEGENERACY_EPS)
+    return _report(pts, residual(tau), samples, 0, seed)
+
+
+SEAM_PAIRS = [(name, g, ghat) for name, g, ghat in HARMONIC_PAIRS + NON_HARMONIC_PAIRS] + [
+    (f"dense-m{m}", dense_metric(m), dense_metric(m, amp=0.17)) for m in range(2, 8)
+]
+
+
+@pytest.mark.parametrize("samples", [300, 4096])
+@pytest.mark.parametrize("name, g, ghat", SEAM_PAIRS, ids=[p[0] for p in SEAM_PAIRS])
+def test_sampler_reports_equal_the_jet_seam(name, g, ghat, samples):
+    # the sampler makes each metric's jets in turn and frees them as it
+    # goes; its reports are still those of the tension body on both
+    # metrics' jets, bit for bit, factored by the elimination at both sizes
+    seed, m = 11, g.dim
+    box = shared_domain(g, ghat)
+    want = _seam_report(g, ghat, box, lambda tau: tau, samples, seed)
+    assert check_harmonic(g, ghat, samples=samples, seed=seed) == want
+    box += ((-1.0, 1.0),) * m
+    for kind in LiftKind:
+        def placed(tau):
+            zero = np.zeros_like(tau)
+            pair = (zero, 2.0 * tau) if kind is LiftKind.COMPLETE_TM else (tau, zero)
+            return np.concatenate(pair, -1)
+
+        want = _seam_report(g, ghat, box, placed, samples, seed)
+        assert check_lift_conditions(g, ghat, kind, samples=samples, seed=seed) == want, kind
