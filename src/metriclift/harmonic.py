@@ -30,8 +30,8 @@ formed, and a point's tau is the same whatever batch it is in.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
-verdict.  Each metric is evaluated and factored once per batch of
-candidate points: the jets that screen out degenerate candidates feed
+verdict.  Each metric is evaluated and factored once per chunk of a
+batch of candidate points (below): the jets that screen out degenerate candidates feed
 the tension kernel, whose ``metric._solve`` (see the ``metric`` module
 docstring) gives both the determinant of the screen and g's inverse (for
 g) or the solve (for ghat), in ``tension_identity_at`` too.  The kernel
@@ -41,6 +41,20 @@ jets, chat, then ghat's rows dropped; g^{-1} c, then g's inverse dropped;
 the right-hand side, then G dropped before ghat is factored.  The jet
 pass names an entry that is not finite.  A sampled verdict never claims
 global harmonicity, hence the wording "harmonic-on-samples".
+
+A batch is evaluated in near-equal chunks of consecutive points, each
+(m, m, chunk) array kept to ``CHUNK_BYTES`` but no chunk shorter than
+``CHUNK_MIN_POINTS`` (``_chunks``), so the peak memory of a check stops
+growing with the sample count while its run time does not.  As a point's
+tau does not depend on its batch, and every chunk of a split batch is
+long enough to be factored by the elimination as its whole batch is, the
+chunks give the same bits as one pass.  The kernel runs chunk by chunk,
+g then ghat in each, so a non-finite entry is reported from the first
+chunk where either metric has one: g's first failing point in that chunk
+if g fails there, else ghat's.  A batch of one chunk therefore names g's
+first failing point before any of ghat's.  The term layout of the
+contraction (``_term_slots``) is built once per support pattern of each
+check or tension call.
 """
 
 from __future__ import annotations
@@ -82,6 +96,12 @@ VERDICT_NOT = "not-harmonic"
 # samples x d floats up front, so an unchecked count is an unbounded
 # allocation.
 MAX_SAMPLES = 65_536
+
+# The chunk rule of ``_chunks``: the bytes of each (m, m, chunk) float64
+# array, and the least length of a chunk, which wins over the budget and
+# keeps a split batch on the elimination side of ``_solve``.
+CHUNK_BYTES = 768 * 1024
+CHUNK_MIN_POINTS = 2048
 
 
 class SamplingExhausted(RuntimeError):
@@ -204,28 +224,35 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tension_kernel(g_pass, ghat_pass):
+def _slots(layout: dict, abi: np.ndarray, m: int):
+    """:func:`_term_slots` of ``abi``, built once per support pattern and
+    kept in ``layout``, the memo of one check or one tension call: every
+    batch and chunk of a metric has the same supports."""
+    key = abi.tobytes()
+    if key not in layout:
+        layout[key] = _term_slots(abi, m)
+    return layout[key]
+
+
+def _tension_kernel(g_pass, ghat_pass, layout: dict):
     """``(det g, det ghat, tau)``, ``tau`` ``(N, m)``, from the first jets
     ``(G, (abi, rows))`` of g and ghat at ``N`` points that ``g_pass()`` and
     then ``ghat_pass()`` make, as ``metric._component_jets`` does, by one
     ``metric._solve`` per metric, each array dropped in the order the
     module docstring gives: ghat's jets are made once g's half is done.
-    Where either det is not above 1e-12 tau is meaningless; the caller
-    screens."""
+    The term layouts come from ``layout`` (:func:`_slots`).  Where either
+    det is not above 1e-12 tau is meaningless; the caller screens."""
     G, (abi, rows) = g_pass()
     m = G.shape[0]
     eye = np.broadcast_to(np.eye(m), (G.shape[-1], m, m))
     with np.errstate(all="ignore"):
         det, ginv = _solve(G.transpose(2, 0, 1), eye)
         ginv = ginv.transpose(1, 2, 0)
-        slots = _term_slots(abi, m)
-        c = _contracted_christoffel(ginv, rows, *slots)
+        c = _contracted_christoffel(ginv, rows, *_slots(layout, abi, m))
     del rows
     Gh, (abi_hat, rows) = ghat_pass()
     with np.errstate(all="ignore"):
-        if not np.array_equal(abi_hat, abi):  # else ghat's terms lie alike
-            slots = _term_slots(abi_hat, m)
-        c_hat = _contracted_christoffel(ginv, rows, *slots)
+        c_hat = _contracted_christoffel(ginv, rows, *_slots(layout, abi_hat, m))
         del rows
         v = _matvec(ginv, c)
         del ginv
@@ -238,7 +265,36 @@ def _tension_kernel(g_pass, ghat_pass):
 def _identity_tension(G, dG, Gh, dGh):
     """:func:`_tension_kernel` on the first jets of g and ghat, given as
     ``metric._component_jets`` gives them (lifted jets too)."""
-    return _tension_kernel(lambda: (G, dG), lambda: (Gh, dGh))
+    return _tension_kernel(lambda: (G, dG), lambda: (Gh, dGh), {})
+
+
+def _chunks(n: int, m: int) -> list:
+    """``(start, stop)`` of the chunks of consecutive points that a batch of
+    ``n`` points in dimension ``m`` is evaluated in: ``max(1, n // L)``
+    near-equal chunks, ``L = max(CHUNK_MIN_POINTS, CHUNK_BYTES // (8 m^2))``,
+    so each ``(m, m, chunk)`` array keeps to the budget unless that would
+    make a chunk shorter than the minimum, and a split batch never has a
+    chunk shorter than ``L``."""
+    k = max(1, n // max(CHUNK_MIN_POINTS, CHUNK_BYTES // (8 * m * m)))
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _chunked_tension(g: ChartedMetric, ghat: ChartedMetric, x: np.ndarray, layout: dict):
+    """``(det g, det ghat, tau)`` at the points ``x`` ``(N, m)``: one
+    :func:`_tension_kernel`, with an order-1 ``metric._component_jets``
+    pass of each metric, per chunk of :func:`_chunks`, concatenated."""
+    parts = [
+        _tension_kernel(
+            lambda: _component_jets(g, x[a:b], order=1)[:2],
+            lambda: _component_jets(ghat, x[a:b], order=1)[:2],
+            layout,
+        )
+        for a, b in _chunks(x.shape[0], g.dim)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
@@ -248,16 +304,14 @@ def tension_identity_at(g: ChartedMetric, ghat: ChartedMetric, x) -> np.ndarray:
     Contract-first (see the module docstring):
     tau = 1/2 (ghat^{-1} chat - g^{-1} c) with c_l = g^{ij} C_{lij} and
     chat_l = g^{ij} Chat_{lij}, both contracted with g's inverse; ghat's
-    inverse is never formed.  Each metric is factored once, and a point
-    where |det| is not above 1e-12 raises ``MetricDegenerate`` (g first).
+    inverse is never formed.  Each metric is factored once per chunk, and
+    a point where |det| is not above 1e-12 raises ``MetricDegenerate`` (g
+    first).
     """
     _require_same_chart(g, ghat)
     pt = np.asarray(x, dtype=float)
     flat = pt.reshape(-1, pt.shape[-1])
-    det, det_hat, tau = _tension_kernel(
-        lambda: _component_jets(g, flat, order=1)[:2],
-        lambda: _component_jets(ghat, flat, order=1)[:2],
-    )
+    det, det_hat, tau = _chunked_tension(g, ghat, flat, {})
     _screen(det, flat)
     _screen(det_hat, flat)
     return tau.reshape(pt.shape)
@@ -357,11 +411,11 @@ def _collect_samples(
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
     most 10x candidates, with the identity tension there.
 
-    Each candidate batch takes one order-1 ``metric._component_jets`` pass
-    per metric, each made when :func:`_tension_kernel` reaches that
-    metric: the screen |det| > 1e-12 reads the determinants of the
-    factorizations that give the tension, so no metric is evaluated twice
-    at a point.
+    Each chunk of a candidate batch (:func:`_chunks`) takes one order-1
+    ``metric._component_jets`` pass per metric, each made when
+    :func:`_tension_kernel` reaches that metric: the screen |det| > 1e-12
+    reads the determinants of the factorizations that give the tension,
+    so no metric is evaluated twice at a point.
     When the whole batch is kept its arrays are returned as they are.
     ``domain`` is the shared box, or for a lift the shared box times the
     fiber box.
@@ -371,17 +425,13 @@ def _collect_samples(
     failed the screen.
     """
     m = g.dim
-    batches = []
+    batches, layout = [], {}
     count = scanned = rejected = 0
     limit = 10 * samples
     while count < samples and scanned < limit:
         cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
         scanned += cand.shape[0]
-        x = cand[:, :m]
-        det, det_hat, tau = _tension_kernel(
-            lambda: _component_jets(g, x, order=1)[:2],
-            lambda: _component_jets(ghat, x, order=1)[:2],
-        )
+        det, det_hat, tau = _chunked_tension(g, ghat, cand[:, :m], layout)
         ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
         keep = np.flatnonzero(ok)
         rejected += cand.shape[0] - keep.size

@@ -29,10 +29,14 @@ elimination with partial pivoting, vectorised along the sample axis of
 points-last arrays; it gives the determinant (the product of the pivots)
 and the inverse or solve together.  A smaller batch calls LAPACK per
 matrix (``np.linalg.det``, then ``np.linalg.solve``): at those sizes the
-numpy calls of each elimination step cost more than factoring twice.  A
-point is degenerate where |det| is not above 1e-12, NaN included: the
-sampler skips it, and ``_checked_inverse`` raises :class:`MetricDegenerate`
-for every other caller.
+numpy calls of each elimination step cost more than factoring twice.
+The tension kernel factors a large batch chunk by chunk
+(``harmonic._chunks``), and every chunk of a split batch is at least
+``harmonic.CHUNK_MIN_POINTS`` long, so each point is factored on the same
+side as its whole batch would be, with the same bits.  A point is
+degenerate where |det| is not above 1e-12, NaN included: the sampler
+skips it, and ``_checked_inverse`` raises :class:`MetricDegenerate` for
+every other caller.
 """
 
 from __future__ import annotations

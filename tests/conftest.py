@@ -75,6 +75,18 @@ NON_FINITE_ORDER = {
     "domain": [[0.0, 1.0], [0.0, 1.0]],
 }
 
+# The same box and seed, 512 points split into chunks of 256: the first
+# derivative of entry (2,2) overflows past about x1 = 0.9959, that of
+# (1,1) past about x2 = 0.9989, and none of the first 256 lattice points
+# reach either.  Of the next 256, point 355 (x1 about 0.9981) is the first
+# past either, for (2,2); entry (1,1), first in entry order, overflows at
+# point 367 (x2 about 0.9997) only.
+NON_FINITE_SPLIT = {
+    "coordinates": ["x1", "x2"],
+    "metric": [["exp(1000*x2 - 296)", "0"], ["0", "exp(1000*x1 - 293)"]],
+    "domain": [[0.0, 1.0], [0.0, 1.0]],
+}
+
 GALLERY_METRICS = [(name, g) for name, g, _ in HARMONIC_PAIRS] + [
     (f"{name}-hat", ghat) for name, _, ghat in HARMONIC_PAIRS
 ]

@@ -81,14 +81,14 @@ def _uses_blas(node) -> bool:
 
 def test_one_route_to_the_jets_the_inverse_and_lapack():
     # g's inverse and connection come from metric._connection_at; only the
-    # sampler and the identity tension take their jets on their own, from
-    # the component pass, as support rows for the tension kernel on jets,
-    # which factors each metric once: neither builds the dense first jets
+    # chunk loop that the sampler and the identity tension share takes its
+    # jets on its own, from the component pass, as support rows for the
+    # tension kernel on jets, which factors each metric once per chunk: it
+    # never builds the dense first jets
     assert _owners(_calls("metric_jets_at")) == {"metric._connection_at"}
     assert _owners(_calls("_component_jets")) == {
         "metric.metric_jets_at",
-        "harmonic._collect_samples",
-        "harmonic.tension_identity_at",
+        "harmonic._chunked_tension",
     }
     # every jet pass checks its own jets are finite, and nothing else does
     assert _owners(_text("or a derivative of it is not finite")) == {"metric._component_jets"}
