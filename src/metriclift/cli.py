@@ -372,14 +372,10 @@ def cmd_tensors(manifest: dict, args) -> tuple[int, str]:
     x = _parse_point(args.at, g.dim)
     G, Ginv, _, gamma, dgamma = _connection_at(g, x, 2)
     riem = _riemann(gamma, dgamma)
-    nonzero = {}
-    m = g.dim
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                v = gamma[k, i, j]
-                if v != 0.0:
-                    nonzero[f"Gamma^{k + 1}_{i + 1},{j + 1}"] = float(v)
+    nonzero = {
+        f"Gamma^{k + 1}_{i + 1},{j + 1}": float(gamma[k, i, j])
+        for k, i, j in zip(*np.nonzero(gamma))  # row-major, as k, i, j
+    }
     doc = {
         "tool": _tool_doc(),
         "manifest_sha256": manifest_sha256(manifest),

@@ -56,7 +56,6 @@ __all__ = [
     "to_source",
     "to_shared_sources",
     "evaluate",
-    "evaluate_each",
     "eval_value",
     "eval_jet2",
     "differentiate",
@@ -728,54 +727,28 @@ def _general_power(base, expo, node: ExprAst):
 def evaluate(expr, env):
     """Evaluate ``expr``, a tree or a sequence of trees, over operands
     supporting arithmetic (floats, arrays or jets): its value, or the list
-    of their values, from one :func:`evaluate_each` walk."""
-    if isinstance(expr, _Node):
-        [(_, out)] = evaluate_each([expr], env)
-        return out
-    roots = list(expr)
-    out = [None] * len(roots)
-    for k, value in evaluate_each(roots, env):
-        out[k] = value
-    return out
-
-
-def evaluate_each(roots, env):
-    """Evaluate the trees ``roots`` in one walk, yielding ``(k, value)`` for
-    root k as soon as it is computed, in the order of the walk: a root
-    inside an earlier one comes before it.  Each shared node is computed
-    once, and every value, a root's too, is dropped as soon as the last
-    node that reads it has run and it has been yielded, so a batch walk
-    holds only the values still to be read and the trees' own, and a
-    consumer holds what it keeps of the roots."""
-    roots = list(roots)
+    of their values.  The trees are walked once, in order, each shared
+    node computed once, and every intermediate value is dropped as soon as
+    the last node that reads it has run, so a batch walk holds only the
+    values still to be read and the roots' values."""
+    roots = [expr] if isinstance(expr, _Node) else list(expr)
     order = _postorder(roots, ())
-    rooted: dict = {}  # id of a root: its indices in roots
-    for k, root in enumerate(roots):
-        rooted.setdefault(id(root), []).append(k)
-    # free[pos]: the ids of the values last read at pos, by order[pos] or
-    # by the yields of the roots it is (yields[pos]), found in one pass
-    # from the end
-    seen: set = set()
+    # free[pos]: the ids of the nodes last read by order[pos], found in one
+    # pass from the end; the roots are returned, so never freed
+    kept = set(map(id, roots))
     free: list = []
-    yields: list = []
     for node in reversed(order):
         dead = []
-        reads = _children(node)
-        ks = rooted.get(id(node))
-        if ks:
-            reads += (node,)
-        for kid in reads:
+        for kid in _children(node):
             key = id(kid)
-            if key not in seen:
-                seen.add(key)
+            if key not in kept:
+                kept.add(key)
                 dead.append(key)
         free.append(dead)
-        yields.append(ks)
     free.reverse()
-    yields.reverse()
     memo: dict = {}
     try:
-        for node, dead, ks in zip(order, free, yields):
+        for node, dead in zip(order, free):
             t = type(node)
             if t is Binary:
                 op = node.op
@@ -809,13 +782,13 @@ def evaluate_each(roots, env):
             else:
                 r = _apply_fn(node.fn, memo[id(node.arg)], node)
             memo[id(node)] = r
-            if ks:
-                for k in ks:
-                    yield k, r
             for key in dead:
                 del memo[key]
     except JetDomainError as err:  # pragma: no cover - defensive
         raise EvalDomainError(str(err), node) from err
+    if isinstance(expr, _Node):
+        return memo[id(expr)]
+    return [memo[id(r)] for r in roots]
 
 
 def eval_value(expr: ExprAst, point) -> float:

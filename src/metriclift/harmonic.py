@@ -204,8 +204,9 @@ def _contracted_christoffel(ginv: np.ndarray, r: np.ndarray, pq, row, w) -> np.n
     elementwise along the samples, the order in which numpy's axis-0 sum
     of the whole ``(S, m, N)`` term stack would add them, without forming
     it; no slots give zeros."""
-    flat = ginv.reshape(-1, ginv.shape[-1])
-    c = np.zeros((pq.shape[1], flat.shape[1]))
+    m, n = ginv.shape[1:]
+    flat = ginv.reshape(m * m, n)  # n may be 0
+    c = np.zeros((pq.shape[1], n))
     for p, q, u in zip(pq, row, w[..., None]):
         t = flat.take(p, axis=0)
         t *= r.take(q, axis=0)

@@ -4,15 +4,15 @@ A :class:`ChartedMetric` is a symmetric matrix of expression trees over
 named coordinates together with a sampling box.  All derived quantities
 (inverse, Christoffel symbols, curvature) are computed pointwise from
 exact jets.  Every jet pass (``_component_jets``) evaluates all upper
-entries in one walk of :func:`exprlang.evaluate_each`, which yields each
-entry as soon as it is computed and drops each subexpression's jet after
-its last use.  The pass takes each entry's value into G and keeps only
-its derivative rows, on the entry's support, then checks G and the rows
-are finite: the sampler contracts those rows, and :func:`metric_jets_at`
-scatters them for ``_connection_at``, which factors them by
-``_checked_inverse`` for every other caller; only :func:`metric_at` (one
-walk too) is unchecked.  The functions below accept a single point
-``(m,)`` or a batch ``(N, m)`` and return correspondingly shaped arrays.
+entries in one walk of :func:`exprlang.evaluate`, which drops each
+subexpression's jet after its last use.  The pass takes each entry's
+value into G and its derivative rows, on the entry's support, then
+checks G and the rows are finite: the sampler contracts those rows, and
+:func:`metric_jets_at` scatters them for ``_connection_at``, which
+factors them by ``_checked_inverse`` for every other caller; only
+:func:`metric_at` (one walk too) is unchecked.  The functions below
+accept a single point ``(m,)`` or a batch ``(N, m)`` and return
+correspondingly shaped arrays.
 
 Index conventions: 0-based internally, 1-based in reports and any error
 text.  Christoffel symbols are stored as ``gamma[..., k, i, j]`` and the
@@ -221,36 +221,33 @@ def _component_jets(g: ChartedMetric, x, order: int):
     """``(G, (abi, rows), jets)`` at the N points of ``x`` in one pass: ``G``
     ``(m, m, N)``, and ``rows[t] = d_i g_ab`` for ``abi[t] = (a, b, i)``,
     one per coordinate i of the support of each non-constant entry a <= b,
-    whose ``(a, b, Jet2)`` ``jets`` lists at ``order=2`` (else ``None``).
-    Each entry is taken as the walk yields it: its value goes into ``G``,
-    and only its gradient (at ``order=2`` its jet) is kept until the rows
-    are copied out, so the pass never holds every entry's value jet.  A non-finite value or derivative
-    raises :class:`exprlang.EvalDomainError` quoting the entry, at the
-    first such point, then the first such entry, read from ``G`` and the
-    rows (and the Hessians)."""
+    whose ``(a, b, Jet2)`` ``jets`` lists at ``order=2`` (else ``None``),
+    from one :func:`exprlang.evaluate` walk read in entry order.  A
+    non-finite value or derivative raises :class:`exprlang.EvalDomainError`
+    quoting the entry, at the first such point, then the first such entry,
+    read from ``G`` and the rows (and the Hessians)."""
     flat = _point_env(g, x).reshape(-1, g.dim)
     m, n = g.dim, flat.shape[0]
     env = [Jet2.coordinate(flat[:, i], i, order) for i in range(m)]
     upper = _upper(m)
     G = np.empty((m, m, n))
-    taken = [None] * len(upper)  # (i, j, support, gradient) of an entry
-    jets = []
+    abi, grads, jets = [], [], []
     # an overflowing entry is reported as non-finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, out in ex.evaluate_each([g.components[i][j] for i, j in upper], env):
-            i, j = upper[t]
-            if not isinstance(out, Jet2):  # a constant entry
-                G[i, j] = G[j, i] = out
-                continue
-            G[i, j] = G[j, i] = out.value
-            taken[t] = (i, j, out.support, out.grad.T)
-            if order >= 2:
-                jets.append((i, j, out))
-    taken = [e for e in taken if e is not None]
-    abi = np.array([(i, j, k) for i, j, s, _ in taken for k in s], dtype=np.intp)
-    rows = np.concatenate([r for *_, r in taken] + [np.empty((0, n))])
-    del taken, out
-    abi = abi.reshape(-1, 3)
+        outs = ex.evaluate([g.components[i][j] for i, j in upper], env)
+    for (i, j), out in zip(upper, outs):
+        if not isinstance(out, Jet2):  # a constant entry
+            G[i, j] = G[j, i] = out
+            continue
+        G[i, j] = G[j, i] = out.value
+        abi += [(i, j, k) for k in out.support]
+        grads.append(out.grad.T)
+        if order >= 2:
+            jets.append((i, j, out))
+    del outs, out  # the values, now in G
+    abi = np.array(abi, dtype=np.intp).reshape(-1, 3)
+    rows = np.concatenate(grads + [np.empty((0, n))])
+    del grads
     finite = np.isfinite(G).all() and np.isfinite(rows).all()
     if not (finite and all(np.isfinite(out.hess).all() for *_, out in jets)):
         ok = np.isfinite(G)  # a bad derivative marks its upper entry only

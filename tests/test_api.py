@@ -2,11 +2,13 @@
 
 Every name a module exports must resolve: the benchmark tracer wraps
 each ``__all__`` entry with ``getattr``, so a stale one breaks every
-traced run.  And the jets, the screened inverse and LAPACK are each
-reached from the one place that owns them, read from the source."""
+traced run.  So must every cross-reference in a docstring.  And the
+jets, the screened inverse and LAPACK are each reached from the one
+place that owns them, read from the source."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,37 @@ def test_every_exported_name_resolves(name):
     missing = [n for n in mod.__all__ if not hasattr(mod, n)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+# :func:`name` and the like, as the docstrings cite the package's objects
+DOC_REFERENCE = re.compile(r":(?:func|class|meth|mod):`([^`]+)`")
+
+
+def _resolves(mod, target: str) -> bool:
+    """Whether ``target`` names an object of ``mod`` or, as
+    ``module.name``, of the package."""
+
+    def lookup(obj, path: str) -> bool:
+        for part in path.split("."):
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+
+    return lookup(mod, target) or lookup(metriclift, target.removeprefix("metriclift."))
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in Path(metriclift.__file__).parent.glob("*.py")))
+def test_every_docstring_reference_resolves(stem):
+    mod = importlib.import_module("metriclift" if stem == "__init__" else f"metriclift.{stem}")
+    tree = ast.parse(Path(mod.__file__).read_text())
+    docs = [
+        ast.get_docstring(node, clean=False) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    targets = {t for doc in docs for t in DOC_REFERENCE.findall(doc)}
+    assert [t for t in sorted(targets) if not _resolves(mod, t)] == []
 
 
 def _owners(match) -> set:
@@ -60,6 +93,10 @@ def _text(needle: str):
         return isinstance(node, ast.Constant) and needle in str(node.value)
 
     return match
+
+
+def _yields(node) -> bool:
+    return isinstance(node, (ast.Yield, ast.YieldFrom))
 
 
 def _uses_linalg(node) -> bool:
@@ -107,3 +144,11 @@ def test_one_route_to_the_jets_the_inverse_and_lapack():
     # point's tension is the same in the sampler's batches and in
     # tension_identity_at's
     assert _owners(_uses_blas) == {"lifts._lift_blocks"}
+
+
+def test_one_expression_walk():
+    # the jet pass and the value pass are each one evaluate walk, which
+    # returns the roots' values in order; the expression language has no
+    # generator that hands them out one at a time
+    assert {"metric._component_jets", "metric.metric_at"} <= _owners(_calls("evaluate"))
+    assert not any(owner.startswith("exprlang.") for owner in _owners(_yields))

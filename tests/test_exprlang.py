@@ -770,21 +770,6 @@ def test_evaluate_keeps_every_root():
     assert ex.evaluate([], x) == []
 
 
-def test_evaluate_each_drops_each_root_once_yielded(no_gc):
-    # p = x1*x2 is read again by the second root, the second root by
-    # nothing: both are gone while the walk still runs, once the consumer
-    # lets go of them, instead of being held to the end of the walk
-    table: dict = {}
-    roots = [parse_expression(s, ["x1", "x2"], table) for s in ("x1*x2", "x1*x2*x1", "x1 + x2")]
-    walk = ex.evaluate_each(roots, [_Tracked(2.0), _Tracked(3.0)])
-    (k, first), (l, second) = next(walk), next(walk)
-    first, second = weakref.ref(first), weakref.ref(second)
-    assert next(walk)[1].v == 5.0
-    assert (k, l) == (0, 1)
-    assert first() is None and second() is None
-    assert list(walk) == []
-
-
 def test_differentiate_frees_its_memo_on_return(no_gc):
     x1, x2 = Sym(0, "x1"), Sym(1, "x2")
     e = Binary("*", x2, x1)

@@ -37,6 +37,29 @@ class TestTensionIdentity:
             tau = tension_identity_at(g, g, x)
             assert np.array_equal(tau, np.zeros_like(tau))
 
+    @pytest.mark.parametrize(
+        "g, ghat",
+        [
+            (dense_metric(4), dense_metric(4, amp=0.17)),
+            dict((name, (g, ghat)) for name, g, ghat in HARMONIC_PAIRS)["walker-mixed"],
+            (egorov_metric(EgorovSpec(3, "2")), egorov_metric(EgorovSpec(3, "3"))),
+        ],
+    )
+    def test_empty_batch_gives_empty_arrays(self, g, ghat):
+        # the tension of no points has the shape of its siblings' results
+        m = g.dim
+        for shape in [(0, m), (2, 0, m)]:
+            x, lead = np.empty(shape), shape[:-1]
+            assert tension_identity_at(g, ghat, x).shape == shape
+            assert metric.metric_at(g, x).shape == lead + (m, m)
+            assert inverse_metric_at(g, x).shape == lead + (m, m)
+            assert christoffel_at(g, x).shape == lead + (m, m, m)
+            assert metric.curvature_at(g, x).shape == lead + (m, m, m, m)
+            G, dG, d2G = metric.metric_jets_at(g, x)
+            assert (G.shape, dG.shape, d2G.shape) == (
+                lead + (m, m), lead + (m, m, m), lead + (m, m, m, m)
+            )
+
     def test_egorov_shifted_profile_is_harmonic(self):
         g = egorov_metric(EgorovSpec(3, "exp(x3)"))
         ghat = egorov_metric(EgorovSpec(3, "exp(x3)+1"))

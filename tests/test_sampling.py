@@ -214,8 +214,8 @@ def test_dense_m16_check_frees_jets_and_terms_as_it_goes():
 
 def test_dense_m7_check_holds_one_metric_at_a_time():
     # g is factored, c summed and g's rows dropped before ghat's jets are
-    # made, and each entry's jet is dropped once its value and rows are
-    # taken, in two chunks of 2048 points: 4.7 MB, 9.4 MB unchunked and
+    # made, and the entries' jets are dropped once their values and rows
+    # are taken, in two chunks of 2048 points: 4.7 MB, 9.4 MB unchunked and
     # 12.6 MB when both metrics' jets were held for g's factorization
     g, ghat = dense_metric(7), dense_metric(7, amp=0.17)
     assert harmonic._chunks(4096, 7) == [(0, 2048), (2048, 4096)]
