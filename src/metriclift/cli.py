@@ -47,7 +47,7 @@ from .gallery import (
     godel_metric,
     walker_metric,
 )
-from .harmonic import SamplingExhausted, _check_sampling, check_harmonic
+from .harmonic import VERDICT_HARMONIC, SamplingExhausted, _check_sampling, check_harmonic
 from .lifts import LiftKind, check_lift_conditions, lift_to_chart
 from .metric import (
     ChartedMetric,
@@ -128,7 +128,10 @@ class _Expressions:
     """The ``definitions`` of a manifest, parsed over the chart its first
     explicit matrix declares, and the hash-cons table they live in.  Both
     matrices parse into that table, so a name is the very node of its
-    expanded text; without definitions each matrix parses on its own."""
+    expanded text; without definitions each matrix parses on its own.
+    Both explicit matrices take their chart from the same ``coordinates``
+    or ``dimension`` field; :func:`build_metrics` checks that the two
+    metrics share it."""
 
     def __init__(self, manifest: dict):
         raw = manifest.get("definitions", [])
@@ -153,16 +156,12 @@ class _Expressions:
         self.names: dict = {}
 
     def names_over(self, coords: tuple) -> dict:
-        if not self.definitions:
-            return self.names
-        if self.coords is None:
+        if self.definitions and self.coords is None:
             self.coords = coords
             try:
                 self.names = parse_definitions(self.definitions, coords, self.table)
             except ExprError as err:
                 raise ManifestError(f"in 'definitions': {err}") from None
-        elif coords != self.coords:
-            raise ManifestError("metric and hat metric must share the chart")
         return self.names
 
 
@@ -173,8 +172,6 @@ def _family_metric(fam: dict, dimension: int | None) -> ChartedMetric:
     try:
         if name == "egorov":
             m = _integer(fam.get("m", dimension or 0), "m")
-            if m < 3:
-                raise ManifestError("egorov family needs 'm' >= 3")
             interval = tuple(fam.get("interval", (-1.0, 1.0)))
             return egorov_metric(EgorovSpec(m, str(fam["f"]), interval))
         if name == "walker":
@@ -315,7 +312,7 @@ def cmd_check(manifest: dict, args) -> tuple[int, str]:
         "lift": "none" if lift is None else lift.value,
         **report.as_dict(),
     }
-    code = 0 if report.verdict == "harmonic-on-samples" else 1
+    code = 0 if report.verdict == VERDICT_HARMONIC else 1
     return code, _dump(doc)
 
 

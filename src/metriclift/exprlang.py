@@ -1,7 +1,8 @@
 """Small mathematical expression language for metric components.
 
 Sources are parsed over a declared symbol list (coordinate and parameter
-names) into immutable trees; evaluation is pure.  Parsing is hash-consed:
+names, each an identifier that is not a function name) into immutable
+trees; evaluation is pure.  Parsing is hash-consed:
 structurally identical subtrees come back as one shared node, so a
 printed DAG parses back into a DAG.  Named definitions
 (:func:`parse_definitions`) let a source refer to a shared subexpression
@@ -25,6 +26,9 @@ sin cos tan sinh cosh tanh exp log sqrt, all unary.
 Powers with a constant integer exponent are evaluated by repeated
 multiplication (so negative bases are fine); any other exponent goes
 through exp(b*log(a)) and requires a positive base at evaluation time.
+A value outside an operation's domain raises :class:`EvalDomainError`:
+``/`` and negative integer powers test the divisor first, and functions
+go through ``_apply_fn``, which alone converts a ``JetDomainError``.
 No simplification beyond folding of 0/1/constant operands is performed;
 correctness rests on evaluation, not on normal forms.
 """
@@ -221,6 +225,9 @@ def _symbol_index(symbols: Sequence[str]) -> dict:
     once per symbol list, however many sources are parsed over it."""
     if not symbols:
         raise ValueError("symbol list must be nonempty")
+    for name in symbols:  # the rule parse_definitions sets for names
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)) or name in FUNCTIONS:
+            raise ExprError(f"coordinate {name!r} must be an identifier, not a function name")
     index = {name: i for i, name in enumerate(symbols)}
     if len(index) != len(symbols):
         raise ValueError("symbol names must be distinct")
@@ -747,45 +754,42 @@ def evaluate(expr, env):
         free.append(dead)
     free.reverse()
     memo: dict = {}
-    try:
-        for node, dead in zip(order, free):
-            t = type(node)
-            if t is Binary:
-                op = node.op
-                a, b = memo[id(node.left)], memo[id(node.right)]
-                if op == "+":
-                    r = a + b
-                elif op == "*":
-                    r = a * b
-                elif op == "-":
-                    r = a - b
-                elif op == "/":
-                    if np.any(np.asarray(_value_of(b)) == 0.0):
-                        raise EvalDomainError("division by zero", node)
-                    r = a / b
-                elif isinstance(b, (int, float)) and float(b).is_integer():
-                    # a plain integer exponent, constant or evaluated
-                    r = _int_power(a, int(b), node)
-                else:
-                    r = _general_power(a, b, node)
-            elif t is Num:
-                r = node.value
-            elif t is Sym:
-                if node.index >= len(env):
-                    raise ExprError(
-                        f"point has {len(env)} entries but symbol "
-                        f"'{node.name}' has index {node.index}"
-                    )
-                r = env[node.index]
-            elif t is Neg:
-                r = -memo[id(node.arg)]
+    for node, dead in zip(order, free):
+        t = type(node)
+        if t is Binary:
+            op = node.op
+            a, b = memo[id(node.left)], memo[id(node.right)]
+            if op == "+":
+                r = a + b
+            elif op == "*":
+                r = a * b
+            elif op == "-":
+                r = a - b
+            elif op == "/":
+                if np.any(np.asarray(_value_of(b)) == 0.0):
+                    raise EvalDomainError("division by zero", node)
+                r = a / b
+            elif isinstance(b, (int, float)) and float(b).is_integer():
+                # a plain integer exponent, constant or evaluated
+                r = _int_power(a, int(b), node)
             else:
-                r = _apply_fn(node.fn, memo[id(node.arg)], node)
-            memo[id(node)] = r
-            for key in dead:
-                del memo[key]
-    except JetDomainError as err:  # pragma: no cover - defensive
-        raise EvalDomainError(str(err), node) from err
+                r = _general_power(a, b, node)
+        elif t is Num:
+            r = node.value
+        elif t is Sym:
+            if node.index >= len(env):
+                raise ExprError(
+                    f"point has {len(env)} entries but symbol "
+                    f"'{node.name}' has index {node.index}"
+                )
+            r = env[node.index]
+        elif t is Neg:
+            r = -memo[id(node.arg)]
+        else:
+            r = _apply_fn(node.fn, memo[id(node.arg)], node)
+        memo[id(node)] = r
+        for key in dead:
+            del memo[key]
     if isinstance(expr, _Node):
         return memo[id(expr)]
     return [memo[id(r)] for r in roots]

@@ -30,11 +30,14 @@ formed, and a point's tau is the same whatever batch it is in.
 
 ``check_harmonic`` evaluates the residual on a deterministic
 low-discrepancy lattice over the shared sampling box and renders a
-verdict.  Each metric is evaluated and factored once per chunk of a
-batch of candidate points (below): the jets that screen out degenerate candidates feed
-the tension kernel, whose ``metric._solve`` (see the ``metric`` module
-docstring) gives both the determinant of the screen and g's inverse (for
-g) or the solve (for ghat), in ``tension_identity_at`` too.  The kernel
+verdict.  The candidates come in batches of ``samples`` points, and
+each metric is evaluated and factored once per chunk of a batch
+(below): the jets that screen out degenerate candidates feed the tension
+kernel, whose ``metric._solve`` (see the ``metric`` module docstring)
+gives both the determinant of the screen and g's inverse (for g) or the
+solve (for ghat), in ``tension_identity_at`` too.  The screen keeps a
+candidate where ``metric._nondegenerate`` holds for both determinants,
+the rule by which ``metric._screen`` raises elsewhere.  The kernel
 takes the metrics in turn, so that the two metrics' jets are never alive
 together: g's jets, g's factorization, c, then g's rows dropped; ghat's
 jets, chat, then ghat's rows dropped; g^{-1} c, then g's inverse dropped;
@@ -60,7 +63,7 @@ check or tension call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,10 +71,11 @@ from . import exprlang as ex
 from .exprlang import ExprAst
 from .jets import Jet2, as_jet2
 from .metric import (
-    DEGENERACY_EPS,
     ChartedMetric,
     _component_jets,
     _connection_at,
+    _nondegenerate,
+    _point_text,
     _screen,
     _solve,
 )
@@ -154,17 +158,9 @@ class HarmonicityReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "max_abs_residual": self.max_abs_residual,
-            "worst_point": list(self.worst_point),
-            "per_component_max": list(self.per_component_max),
-            "samples_used": self.samples_used,
-            "samples_scanned": self.samples_scanned,
-            "degenerate_rejected": self.degenerate_rejected,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+        """The fields by name, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def _require_same_chart(g: ChartedMetric, ghat: ChartedMetric):
@@ -293,8 +289,6 @@ def _chunked_tension(g: ChartedMetric, ghat: ChartedMetric, x: np.ndarray, layou
         )
         for a, b in _chunks(x.shape[0], g.dim)
     ]
-    if len(parts) == 1:
-        return parts[0]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -412,46 +406,37 @@ def _collect_samples(
     ``g.dim`` coordinates make both metrics nondegenerate, scanning at
     most 10x candidates, with the identity tension there.
 
-    Each chunk of a candidate batch (:func:`_chunks`) takes one order-1
-    ``metric._component_jets`` pass per metric, each made when
-    :func:`_tension_kernel` reaches that metric: the screen |det| > 1e-12
-    reads the determinants of the factorizations that give the tension,
-    so no metric is evaluated twice at a point.
-    When the whole batch is kept its arrays are returned as they are.
-    ``domain`` is the shared box, or for a lift the shared box times the
-    fiber box.
+    The candidates come in batches of ``samples``.  Each chunk of a batch
+    (:func:`_chunks`) takes one order-1 ``metric._component_jets`` pass
+    per metric, each made when :func:`_tension_kernel` reaches that
+    metric: the screen, ``metric._nondegenerate`` of both determinants,
+    reads the factorizations that give the tension, so no metric is
+    evaluated twice at a point.  Every degenerate candidate of a batch is
+    rejected, also one beyond the last point needed.  ``domain`` is the
+    shared box, or for a lift the shared box times the fiber box.
 
     Returns ``(points, tau, scanned, rejected)``: ``tau`` is the tension
     at the kept points, and ``rejected`` of the ``scanned`` candidates
     failed the screen.
     """
-    m = g.dim
-    batches, layout = [], {}
+    pts, taus, layout = [], [], {}
     count = scanned = rejected = 0
-    limit = 10 * samples
-    while count < samples and scanned < limit:
-        cand = lattice_points(domain, min(samples, limit - scanned), seed, start=scanned)
-        scanned += cand.shape[0]
-        det, det_hat, tau = _chunked_tension(g, ghat, cand[:, :m], layout)
-        ok = (np.abs(det) > DEGENERACY_EPS) & (np.abs(det_hat) > DEGENERACY_EPS)
-        keep = np.flatnonzero(ok)
-        rejected += cand.shape[0] - keep.size
+    while count < samples and scanned < 10 * samples:
+        cand = lattice_points(domain, samples, seed, start=scanned)
+        scanned += samples
+        det, det_hat, tau = _chunked_tension(g, ghat, cand[:, : g.dim], layout)
+        keep = np.flatnonzero(_nondegenerate(det) & _nondegenerate(det_hat))
+        rejected += samples - keep.size
         keep = keep[: samples - count]
-        batch = (cand, tau)
-        if keep.size < cand.shape[0]:
-            batch = (cand[keep], tau[keep])
-        batches.append(batch)
+        pts.append(cand[keep])
+        taus.append(tau[keep])
         count += keep.size
     if count < samples:
         raise SamplingExhausted(
             f"only {count} of {samples} sample points were nondegenerate "
             f"after scanning {scanned} candidates"
         )
-    if len(batches) == 1:
-        pts, tau = batches[0]
-    else:
-        pts, tau = (np.concatenate(parts) for parts in zip(*batches))
-    return pts, tau, scanned, rejected
+    return np.concatenate(pts), np.concatenate(taus), scanned, rejected
 
 
 def _check_sampling(samples, tol, seed):
@@ -481,9 +466,8 @@ def _sampled_report(
     bad = np.argwhere(~np.isfinite(abs_r))
     if bad.size:
         i, c = bad[0]
-        pt = ", ".join(repr(float(v)) for v in pts[i])
         raise NonFiniteResidual(
-            f"residual component {c + 1} is not finite at sample point ({pt})"
+            f"residual component {c + 1} is not finite at sample point {_point_text(pts[i])}"
         )
     per_sample = abs_r.max(axis=1)
     worst = int(np.argmax(per_sample))

@@ -33,10 +33,12 @@ numpy calls of each elimination step cost more than factoring twice.
 The tension kernel factors a large batch chunk by chunk
 (``harmonic._chunks``), and every chunk of a split batch is at least
 ``harmonic.CHUNK_MIN_POINTS`` long, so each point is factored on the same
-side as its whole batch would be, with the same bits.  A point is
-degenerate where |det| is not above 1e-12, NaN included: the sampler
-skips it, and ``_checked_inverse`` raises :class:`MetricDegenerate` for
-every other caller.
+side as its whole batch would be, with the same bits.  One rule,
+:func:`_nondegenerate`, decides which points are degenerate: those where
+|det| is not above ``DEGENERACY_EPS`` (1e-12), NaN included.  The
+sampler skips them, and :func:`_screen` raises :class:`MetricDegenerate`
+at the first of them for every other caller.  Every error that names a
+point prints it by :func:`_point_text`.
 """
 
 from __future__ import annotations
@@ -77,8 +79,12 @@ class MetricDegenerate(Exception):
     def __init__(self, point, det: float):
         self.point = np.asarray(point, dtype=float)
         self.det = float(det)
-        pt = ", ".join(repr(float(v)) for v in self.point)
-        super().__init__(f"metric degenerate at ({pt}): det = {self.det!r}")
+        super().__init__(f"metric degenerate at {_point_text(self.point)}: det = {self.det!r}")
+
+
+def _point_text(point) -> str:
+    """``(x1, x2, ...)``, as every error that names a point prints it."""
+    return "(" + ", ".join(repr(float(v)) for v in point) + ")"
 
 
 def mirror_components(entries: Sequence[Sequence[ExprAst]]):
@@ -256,8 +262,8 @@ def _component_jets(g: ChartedMetric, x, order: int):
         for i, j, out in jets:
             ok[i, j] &= np.isfinite(out.hess).all(axis=(-2, -1))
         n, i, j = np.argwhere(~ok.transpose(2, 0, 1))[0]
-        pt = ", ".join(repr(float(v)) for v in flat[n])
-        msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at ({pt})"
+        at = _point_text(flat[n])
+        msg = f"metric entry ({i + 1},{j + 1}) or a derivative of it is not finite at {at}"
         raise ex.EvalDomainError(msg, g.components[i][j])
     return G, (abi, rows), jets if order >= 2 else None
 
@@ -370,9 +376,14 @@ def _checked_inverse(G: np.ndarray, x) -> np.ndarray:
     return ginv.reshape(G.shape)
 
 
+def _nondegenerate(det):
+    """|det| > ``DEGENERACY_EPS``, NaN false: the one degeneracy rule."""
+    return np.abs(det) > DEGENERACY_EPS
+
+
 def _screen(det: np.ndarray, x):
-    """:class:`MetricDegenerate` at the first point where |det| <= 1e-12 or NaN."""
-    bad = np.flatnonzero(~(np.abs(det) > DEGENERACY_EPS))
+    """:class:`MetricDegenerate` at the first point that is not :func:`_nondegenerate`."""
+    bad = np.flatnonzero(~_nondegenerate(det))
     if bad.size:
         raise MetricDegenerate(np.reshape(x, (det.size, -1))[bad[0]], det[bad[0]])
 

@@ -95,6 +95,26 @@ def _text(needle: str):
     return match
 
 
+def _reads(name: str):
+    def match(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    return match
+
+
+def _formats_floats(node) -> bool:
+    return isinstance(node, ast.GeneratorExp) and "repr(float(" in ast.unparse(node)
+
+
+def _catches(name: str):
+    def match(node) -> bool:
+        return isinstance(node, ast.ExceptHandler) and getattr(node.type, "id", None) == name
+
+    return match
+
+
 def _yields(node) -> bool:
     return isinstance(node, (ast.Yield, ast.YieldFrom))
 
@@ -152,3 +172,20 @@ def test_one_expression_walk():
     # generator that hands them out one at a time
     assert {"metric._component_jets", "metric.metric_at"} <= _owners(_calls("evaluate"))
     assert not any(owner.startswith("exprlang.") for owner in _owners(_yields))
+
+
+def test_one_owner_per_rule_of_a_sampled_check():
+    # every screen asks metric._nondegenerate, the one reader of the
+    # threshold, and every error that names a point prints it by one
+    # function
+    assert _owners(_reads("DEGENERACY_EPS")) == {"metric._nondegenerate"}
+    assert _owners(_calls("_point_text")) == {
+        "metric.MetricDegenerate",
+        "metric._component_jets",
+        "harmonic._sampled_report",
+    }
+    assert _owners(_formats_floats) == {"metric._point_text"}
+    # a jet's domain error becomes an expression error in one place, and
+    # the manifest's two metrics are held to one chart in one place
+    assert _owners(_catches("JetDomainError")) == {"exprlang._apply_fn"}
+    assert _owners(_text("hat metric must share the chart")) == {"cli.build_metrics"}

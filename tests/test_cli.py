@@ -788,6 +788,82 @@ class TestManifestNumbers:
         assert strict_json(out)["samples_used"] == 8
 
 
+IDENTITY_2X2 = [["1", "0"], ["0", "1"]]
+
+
+def flat_pair(**extra):
+    """Two flat explicit metrics on a 2-dimensional chart."""
+    return {"coordinates": ["x1", "x2"], "metric": IDENTITY_2X2,
+            "hat_metric": IDENTITY_2X2, **extra}
+
+
+class TestManifestShapes:
+    @pytest.mark.parametrize(
+        "doc, command, code, message",
+        [
+            (egorov_manifest(domain=[[0, 0.5]] * 3), ["check"], 0, None),
+            (egorov_manifest(domain=[[0, 0.5]]), ["check"], 2,
+             "'domain' must give one [lo, hi] per coordinate"),
+            (egorov_manifest(dimension=4), ["check"], 2,
+             "dimension 4 does not match family dimension 3"),
+            ({"coordinates": ["a", "b", "c"], "metric": [["1", "0", "0"], ["0", "1", "0"],
+              ["0", "0", "1"]], "hat_family": egorov_manifest()["hat_family"]}, ["check"], 2,
+             "metric and hat metric must share the chart"),
+            (flat_pair(domain=[[1, -1], [0, 1]]), ["check"], 2,
+             "invalid 'metric': empty domain interval [1.0, -1.0]"),
+            (flat_pair(), ["tensors", "--at=a,b"], 2,
+             "cannot parse point 'a,b': could not convert string to float: 'a'"),
+            ([], ["check"], 2, "manifest must be a JSON object"),
+            (egorov_manifest(family={"m": 3}), ["check"], 2,
+             "family must be an object with a 'name' field"),
+            (egorov_manifest(family={"name": "walker", "a": "0", "c": "0"}), ["check"], 2,
+             "family 'walker' is missing parameter 'b'"),
+            ({"metric": [["1"]], "hat_metric": [["1"]]}, ["check"], 2,
+             "manifest needs 'dimension' or 'coordinates'"),
+            ({"dimension": 2, "metric": [["1", "0"], ["0"]], "hat_metric": IDENTITY_2X2},
+             ["check"], 2, "'metric' must be a 2x2 matrix of expression strings"),
+            ({"dimension": 2, "metric": IDENTITY_2X2, "hat_metric": IDENTITY_2X2,
+              "domain": [[0, 1]]}, ["check"], 2,
+             "'domain' must give one [lo, hi] per coordinate"),
+            (egorov_manifest(family={"name": "egorov", "m": 2, "f": "exp(x2)"}), ["check"], 2,
+             "invalid family 'egorov': Egorov family needs dimension m >= 3"),
+        ],
+        ids=["family-domain", "family-domain-short", "family-dimension", "chart-mismatch",
+             "empty-interval", "bad-at", "not-an-object", "family-without-name",
+             "walker-without-b", "no-chart", "ragged-matrix", "explicit-domain-short",
+             "egorov-m2"],
+    )
+    def test_manifest_shapes_exit_as_measured(self, tmp_path, capsys, doc, command, code,
+                                              message):
+        got, out = run_cli(capsys, command[0], "--manifest",
+                           write_manifest(tmp_path, "m.json", doc), *command[1:])
+        assert got == code
+        report = strict_json(out)
+        if message is None:
+            # a top-level 'domain' replaces the family's sampling box
+            assert all(0 <= v <= 0.5 for v in report["worst_point"])
+        else:
+            assert report["error"] == {"kind": "ManifestError", "message": message}
+
+    @pytest.mark.parametrize("coord", [1, "x 1", "1a", "sin"])
+    @pytest.mark.parametrize("definitions", [None, [["a", "2"]]], ids=["matrix", "definitions"])
+    def test_coordinates_must_be_identifiers_other_than_functions(
+        self, tmp_path, capsys, coord, definitions
+    ):
+        # a coordinate no expression can name, or one named like a function,
+        # is refused where the chart is parsed, as a definition name is
+        doc = flat_pair(coordinates=[coord, "x2"])
+        if definitions:
+            doc["definitions"] = definitions
+        path = write_manifest(tmp_path, "m.json", doc)
+        for command in (["check"], ["lift", "--lift", "complete-tm"]):
+            code, out = run_cli(capsys, command[0], "--manifest", path, *command[1:])
+            assert code == 2
+            err = strict_json(out)["error"]
+            assert err["kind"] == "ManifestError"
+            assert f"coordinate {coord!r} must be an identifier" in err["message"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, needle",

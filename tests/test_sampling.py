@@ -194,6 +194,22 @@ def test_rejecting_batches_match_screen_then_residual(samples, batches):
         assert check_lift_conditions(g, ghat, kind, samples=samples, seed=seed) == want, kind
 
 
+def test_every_degenerate_candidate_of_a_batch_is_rejected():
+    # 3 samples, seed 1: the second batch of 3 candidates gives the third
+    # point and then a degenerate and a nondegenerate candidate; the
+    # degenerate one is rejected too, only the nondegenerate extra is
+    # neither used nor rejected
+    g, ghat = BANDED
+    cand = lattice_points(shared_domain(g, ghat), 6, 1)
+    ok = np.ones(6, dtype=bool)
+    for h in (g, ghat):
+        ok &= np.abs(np.linalg.det(metric_at(h, cand))) > DEGENERACY_EPS
+    assert ok.tolist() == [False, True, True, True, False, True]
+    rep = check_harmonic(g, ghat, samples=3, seed=1)
+    assert (rep.samples_scanned, rep.degenerate_rejected, rep.samples_used) == (6, 2, 3)
+    assert rep == _report(cand[1:4], tension_identity_at(g, ghat, cand[1:4]), 6, 2, 1)
+
+
 def test_dense_m16_check_holds_no_dense_first_jets():
     # the sampler contracts each entry's derivative rows over its support:
     # no (m, m, m, N) first-jet array, which alone is 134 MB here
